@@ -19,8 +19,11 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/experiments"
+	"repro/internal/features"
 	"repro/internal/layout"
 	"repro/internal/ml"
+	"repro/internal/model"
+	"repro/internal/pairs"
 	"repro/internal/split"
 )
 
@@ -38,7 +41,7 @@ var (
 func benchSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	benchOnce.Do(func() {
-		s, err := experiments.NewSuite(benchScale, 1)
+		s, err := experiments.NewSuiteTier(nil, layout.TierStandard, benchScale, 1, 0)
 		if err != nil {
 			benchErr = err
 			return
@@ -99,7 +102,7 @@ func runQuality(b *testing.B, cfg attack.Config, layer int) {
 	chs := benchChallenges(b, layer)
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := attack.Run(cfg, chs)
+		res, err := attack.RunInstances(cfg, attack.NewInstancesWorkers(chs, 0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +127,7 @@ func benchWorkers(b *testing.B, workers int) {
 	cfg.Seed = 1
 	cfg.Workers = workers
 	for i := 0; i < b.N; i++ {
-		if _, err := attack.Run(cfg, chs); err != nil {
+		if _, err := attack.RunInstances(cfg, attack.NewInstancesWorkers(chs, workers)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,19 +199,24 @@ func BenchmarkAblationUnbalanced(b *testing.B) {
 	chs := benchChallenges(b, 6)
 	cfg := attack.Imp11()
 	cfg.Name = "Imp-11-unbalanced"
+	opts := cfg.TrainOptions().WithDefaults()
+	fam, err := model.FamilyByName(opts.Family)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		insts := attack.NewInstances(chs)
+		insts := attack.NewInstancesWorkers(chs, 0)
 		acc = 0
-		for target := range insts {
+		for target, inst := range insts {
 			var train []*attack.Instance
-			for j, inst := range insts {
+			for j, other := range insts {
 				if j != target {
-					train = append(train, inst)
+					train = append(train, other)
 				}
 			}
 			rng := rand.New(rand.NewSource(int64(target)))
-			radius := attack.NeighborRadiusNorm(train, 0.90)
+			radius := attack.NeighborRadiusNorm(train, opts.NeighborQuantile)
 			ds := attack.TrainingSet(cfg, train, radius, nil, rng)
 			// Oversample negatives 4:1 by re-adding three more negative
 			// draws per positive.
@@ -218,13 +226,33 @@ func BenchmarkAblationUnbalanced(b *testing.B) {
 					ds.Add(extra.X[k], false)
 				}
 			}
-			ev, err := attack.ScoreWithTrainingSet(cfg, ds, insts[target], radius, rng)
+			sc, err := fam.Train(model.TrainContext{
+				Opts: opts, Seed: cfg.Seed, Unit: model.UnitLevel1, Fold: target,
+			}, ds)
 			if err != nil {
 				b.Fatal(err)
 			}
-			acc += ev.AccuracyAtK(10)
+			capPer := pairs.LoCCap(inst.N(), opts.MaxLoCFrac)
+			lists, _ := pairs.ScoreLists(opts.Filter(inst, radius), pairs.ResolveBackend(sc, false),
+				pairs.StreamOptions{Cap: capPer, Stride: features.Width(opts.Features)})
+			acc += accuracyAtK(inst, lists, 10)
 		}
 		acc /= float64(len(insts))
 	}
 	b.ReportMetric(acc, "acc@10")
+}
+
+// accuracyAtK is the fraction of the instance's v-pins whose true partner
+// ranks among the first k entries of its candidate list.
+func accuracyAtK(inst *attack.Instance, lists [][]pairs.Candidate, k int) float64 {
+	hits := 0
+	for a, cands := range lists {
+		for _, c := range cands[:min(k, len(cands))] {
+			if int(c.Other) == inst.Match(a) {
+				hits++
+				break
+			}
+		}
+	}
+	return float64(hits) / float64(inst.N())
 }

@@ -144,7 +144,7 @@ func measureScoring(designs []*layout.Design, scale float64, seed int64) (*scori
 			c.ScalarScoring = scalar
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			ev, _, err := attack.RunTarget(c, chs, 0)
+			ev, _, err := attack.RunFoldInstances(c, attack.NewInstancesWorkers(chs, c.Workers), 0)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				return nil, fmt.Errorf("scoring bench %s: %w", c.Name, err)

@@ -32,7 +32,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		insts := attack.NewInstances(chs)
+		insts := attack.NewInstancesWorkers(chs, 0)
 		radius := attack.NeighborRadiusNorm(insts, 0.90)
 		rng := rand.New(rand.NewSource(int64(layer)))
 		ds := attack.TrainingSet(repro.Imp11(), insts, radius, nil, rng)

@@ -18,7 +18,7 @@ func TestArtifactScoringBitIdentity(t *testing.T) {
 		cfg := mk()
 		cfg.Seed = 42
 		cfg.Workers = 1
-		insts := NewInstances(chs)
+		insts := NewInstancesWorkers(chs, 0)
 
 		ev, radius, err := RunTargetInstances(cfg, insts, 0)
 		if err != nil {
@@ -64,20 +64,20 @@ func TestRunWithStoreBitIdentity(t *testing.T) {
 	chs := challenges(t, 8)
 	cfg := Imp9()
 	cfg.Seed = 42
-	base, err := Run(cfg, chs)
+	base, err := runLOO(cfg, chs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cached := cfg
 	cached.Models = model.NewStore(0, "")
-	cold, err := Run(cached, chs)
+	cold, err := runLOO(cached, chs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "store cold vs no store", base, cold)
 
-	warm, err := Run(cached, chs)
+	warm, err := runLOO(cached, chs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestArtifactSpecMismatchRejected(t *testing.T) {
 	chs := challenges(t, 8)
 	cfg := Imp11()
 	cfg.Seed = 42
-	insts := NewInstances(chs)
+	insts := NewInstancesWorkers(chs, 0)
 	spec, _, err := TrainSpec(cfg, insts, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -45,6 +45,16 @@ func challenges(t testing.TB, layer int) []*split.Challenge {
 	return fixChs[layer]
 }
 
+// runLOO is the full leave-one-out run over freshly prepared instances.
+func runLOO(cfg Config, chs []*split.Challenge) (*Result, error) {
+	return RunInstances(cfg, NewInstancesWorkers(chs, cfg.Workers))
+}
+
+// runFold is the single leave-one-out fold over freshly prepared instances.
+func runFold(cfg Config, chs []*split.Challenge, target int) (*Evaluation, float64, error) {
+	return RunFoldInstances(cfg, NewInstancesWorkers(chs, cfg.Workers), target)
+}
+
 // cached attack results to avoid re-running identical configurations.
 var (
 	resMu    sync.Mutex
@@ -59,7 +69,7 @@ func run(t *testing.T, cfg Config, layer int) *Result {
 	if r, ok := resCache[key]; ok {
 		return r
 	}
-	r, err := Run(cfg, challenges(t, layer))
+	r, err := runLOO(cfg, challenges(t, layer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,19 +123,19 @@ func TestStandardConfigNames(t *testing.T) {
 
 func TestRunRejectsBadInput(t *testing.T) {
 	chs := challenges(t, 8)
-	if _, err := Run(ML9(), chs[:1]); err == nil {
+	if _, err := runLOO(ML9(), chs[:1]); err == nil {
 		t.Error("single design accepted")
 	}
 	mixed := []*split.Challenge{chs[0], challenges(t, 6)[1]}
-	if _, err := Run(ML9(), mixed); err == nil {
+	if _, err := runLOO(ML9(), mixed); err == nil {
 		t.Error("mixed split layers accepted")
 	}
 	bad := ML9()
 	bad.Features = []int{99}
-	if _, err := Run(bad, chs); err == nil {
+	if _, err := runLOO(bad, chs); err == nil {
 		t.Error("bad feature index accepted")
 	}
-	if _, err := Run(Config{}, chs); err == nil {
+	if _, err := runLOO(Config{}, chs); err == nil {
 		t.Error("unnamed config accepted")
 	}
 }
@@ -348,11 +358,11 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 	chs := challenges(t, 8)
 	cfg := Imp9()
 	cfg.Seed = 99
-	a, err := Run(cfg, chs)
+	a, err := runLOO(cfg, chs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, chs)
+	b, err := runLOO(cfg, chs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +377,7 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 
 func TestTrainingSetProperties(t *testing.T) {
 	chs := challenges(t, 6)
-	insts := NewInstances(chs[:4])
+	insts := NewInstancesWorkers(chs[:4], 0)
 	rng := rand.New(rand.NewSource(3))
 	cfg := Imp9().withDefaults()
 	radius := NeighborRadiusNorm(insts, cfg.NeighborQuantile)
@@ -388,7 +398,7 @@ func TestTrainingSetProperties(t *testing.T) {
 
 func TestTrainingSetCap(t *testing.T) {
 	chs := challenges(t, 6)
-	insts := NewInstances(chs[:2])
+	insts := NewInstancesWorkers(chs[:2], 0)
 	rng := rand.New(rand.NewSource(4))
 	cfg := ML9().withDefaults()
 	cfg.TrainCap = 100
@@ -400,7 +410,7 @@ func TestTrainingSetCap(t *testing.T) {
 
 func TestNeighborRadiusNorm(t *testing.T) {
 	chs := challenges(t, 6)
-	insts := NewInstances(chs)
+	insts := NewInstancesWorkers(chs, 0)
 	r90 := NeighborRadiusNorm(insts, 0.90)
 	r100 := NeighborRadiusNorm(insts, 1.0)
 	r50 := NeighborRadiusNorm(insts, 0.50)
@@ -439,17 +449,17 @@ func TestLogisticFamilyDrivesAttack(t *testing.T) {
 
 func TestScoreSubset(t *testing.T) {
 	chs := challenges(t, 8)
-	insts := NewInstances(chs)
+	insts := NewInstancesWorkers(chs, 0)
 	rng := rand.New(rand.NewSource(5))
 	cfg := Imp9().withDefaults()
 	radius := NeighborRadiusNorm(others(insts, 0), cfg.NeighborQuantile)
 	ds := TrainingSet(cfg, others(insts, 0), radius, nil, rng)
-	model, err := trainModel(cfg, ds, rng)
+	sc, err := trainModelUnit(cfg, ds, model.UnitLevel1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	subset := []int{0, 5, 9}
-	ev := scoreSubset(model, insts[0], cfg, radius, subset)
+	ev := scoreSubset(sc, insts[0], cfg, radius, subset)
 	for _, a := range subset {
 		if ev.Cands[a] == nil {
 			t.Errorf("subset v-pin %d not scored", a)

@@ -33,7 +33,7 @@ func TestBatchScoringMatchesScalar(t *testing.T) {
 		scalar.Seed = 11
 		scalar.Workers = 1
 		scalar.ScalarScoring = true
-		want, err := Run(scalar, challenges(t, tc.layer))
+		want, err := runLOO(scalar, challenges(t, tc.layer))
 		if err != nil {
 			t.Fatalf("%s scalar: %v", tc.cfg.Name, err)
 		}
@@ -46,7 +46,7 @@ func TestBatchScoringMatchesScalar(t *testing.T) {
 			batch := tc.cfg
 			batch.Seed = 11
 			batch.Workers = w
-			got, err := Run(batch, challenges(t, tc.layer))
+			got, err := runLOO(batch, challenges(t, tc.layer))
 			if err != nil {
 				t.Fatalf("%s batch workers=%d: %v", tc.cfg.Name, w, err)
 			}
@@ -80,21 +80,21 @@ func TestBatchScoringMatchesScalar(t *testing.T) {
 // attack: its validation stage scores held-out v-pins through scoreSubset
 // and must be unaffected by the scoring path.
 func TestBatchProximityMatchesScalar(t *testing.T) {
-	chs := challenges(t, 8)
+	insts := NewInstancesWorkers(challenges(t, 8), 0)
 	cfg := Imp9()
 	cfg.Seed = 42
 	cfg.Workers = 1
-	prior, err := Run(cfg, chs)
+	prior, err := RunInstances(cfg, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := RunProximityOn(cfg, chs, prior)
+	batch, err := RunProximityOnInstances(cfg, insts, prior)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := cfg
 	sc.ScalarScoring = true
-	scalar, err := RunProximityOn(sc, chs, prior)
+	scalar, err := RunProximityOnInstances(sc, insts, prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestScalarFamilyFallsBackToScalar(t *testing.T) {
 	cfg := WithFamily(Imp9(), model.FamilyLogistic)
 	cfg.Name = "Imp-9-logistic-fallback"
 	cfg.Seed = 8
-	ev, _, err := RunTarget(cfg, chs, 0)
+	ev, _, err := runFold(cfg, chs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMLPFamilyUsesBatchPath(t *testing.T) {
 	cfg := DLMLP()
 	cfg.Seed = 8
 	cfg.MLPEpochs = 3
-	ev, _, err := RunTarget(cfg, chs, 0)
+	ev, _, err := runFold(cfg, chs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestBatchDefaultPathIsUsed(t *testing.T) {
 	chs := challenges(t, 8)
 	cfg := ML9()
 	cfg.Seed = 8
-	ev, _, err := RunTarget(cfg, chs, 0)
+	ev, _, err := runFold(cfg, chs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestBatchDefaultPathIsUsed(t *testing.T) {
 // property of the scoring inner loop: once a worker's buffers have grown to
 // the largest candidate set seen, gather+score must not allocate.
 func TestBatchGatherScoreAllocFree(t *testing.T) {
-	insts := NewInstances(challenges(t, 6))
+	insts := NewInstancesWorkers(challenges(t, 6), 0)
 	for _, base := range []Config{Imp11(), WithTwoLevel(Imp11())} {
 		cfg := base.withDefaults()
 		cfg.Seed = 3

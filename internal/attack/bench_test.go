@@ -21,7 +21,7 @@ import (
 // level-2 stage, same compiled arenas.
 func benchAttackModel(b *testing.B, cfg Config, layer int) (Scorer, *Instance, float64) {
 	b.Helper()
-	insts := NewInstances(challenges(b, layer))
+	insts := NewInstancesWorkers(challenges(b, layer), 0)
 	train := others(insts, 0)
 	radius := -1.0
 	if cfg.Neighborhood {

@@ -10,7 +10,6 @@ package attack
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/features"
 	"repro/internal/ml"
@@ -185,23 +184,6 @@ func (c Config) withDefaults() Config {
 	c.MLPEpochs = to.MLPEpochs
 	c.MLPRate = to.MLPRate
 	return c
-}
-
-// workerCount resolves the configured worker bound for a pool processing n
-// units: Workers when positive (GOMAXPROCS otherwise), capped at n so no
-// goroutine starts idle.
-func (c Config) workerCount(n int) int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Validate rejects inconsistent configurations.

@@ -3,7 +3,6 @@ package attack
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/ml"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/pairs"
 	"repro/internal/rng"
 )
@@ -77,7 +75,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	for i, w := range workerCounts {
 		c := cfg
 		c.Workers = w
-		r, err := Run(c, chs)
+		r, err := runLOO(c, chs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -89,14 +87,14 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	for target := range chs {
-		ev, radius, err := RunTarget(cfg, chs, target)
+		ev, radius, err := runFold(cfg, chs, target)
 		if err != nil {
-			t.Fatalf("RunTarget(%d): %v", target, err)
+			t.Fatalf("runFold(%d): %v", target, err)
 		}
 		if radius != results[0].RadiusNorm[target] {
-			t.Fatalf("RunTarget(%d): radius %v, want %v", target, radius, results[0].RadiusNorm[target])
+			t.Fatalf("runFold(%d): radius %v, want %v", target, radius, results[0].RadiusNorm[target])
 		}
-		sameEval(t, fmt.Sprintf("RunTarget(%d)", target), results[0].Evals[target], ev)
+		sameEval(t, fmt.Sprintf("runFold(%d)", target), results[0].Evals[target], ev)
 	}
 }
 
@@ -109,28 +107,28 @@ func TestTwoLevelDeterministicAcrossWorkers(t *testing.T) {
 
 	serial := cfg
 	serial.Workers = 1
-	a, err := Run(serial, chs)
+	a, err := runLOO(serial, chs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel := cfg
 	parallel.Workers = runtime.GOMAXPROCS(0)
-	b, err := Run(parallel, chs)
+	b, err := runLOO(parallel, chs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "two-level workers 1 vs GOMAXPROCS", a, b)
 }
 
-// TestProximityDeterministicAcrossWorkers checks the PA pipeline: outcomes
-// are identical at any worker count and whether candidates are reused from
-// a prior run (RunProximityOn) or computed per target (ProximityTarget).
+// TestProximityDeterministicAcrossWorkers checks the PA pipeline:
+// RunProximityOnInstances' outcomes are identical at any worker count and
+// equal the single-target validation (ProximityTargetInstances) per target.
 func TestProximityDeterministicAcrossWorkers(t *testing.T) {
-	chs := challenges(t, 8)
+	insts := NewInstancesWorkers(challenges(t, 8), 0)
 	cfg := Imp9()
 	cfg.Seed = 42
 	cfg.Workers = runtime.GOMAXPROCS(0)
-	prior, err := Run(cfg, chs)
+	prior, err := RunInstances(cfg, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +137,7 @@ func TestProximityDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 		c := cfg
 		c.Workers = w
-		outs, err := RunProximityOn(c, chs, prior)
+		outs, err := RunProximityOnInstances(c, insts, prior)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -155,14 +153,14 @@ func TestProximityDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	for target := range chs {
-		out, err := ProximityTarget(cfg, chs, target, prior.Evals[target], prior.RadiusNorm[target])
+	for target := range insts {
+		out, err := ProximityTargetInstances(cfg, insts, target, prior.Evals[target], prior.RadiusNorm[target])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if out.Success != base[target].Success || out.FixedSuccess != base[target].FixedSuccess ||
 			out.BestFrac != base[target].BestFrac {
-			t.Fatalf("ProximityTarget(%d) = %+v, want %+v", target, out, base[target])
+			t.Fatalf("ProximityTargetInstances(%d) = %+v, want %+v", target, out, base[target])
 		}
 	}
 }
@@ -182,7 +180,7 @@ func TestRunCollectsPartialErrors(t *testing.T) {
 	const failTarget = 1
 	failFamilyDraw.Store(rng.Derive(cfg.Seed, model.UnitLevel1, failTarget).Int63())
 
-	res, err := Run(cfg, chs)
+	res, err := runLOO(cfg, chs)
 	if err == nil {
 		t.Fatal("Run succeeded despite a failing target")
 	}
@@ -239,10 +237,6 @@ func (failFamily) Train(ctx model.TrainContext, ds *ml.Dataset) (pairs.Scorer, e
 	if ctx.Rng().Int63() == failFamilyDraw.Load() {
 		return nil, fmt.Errorf("injected failure")
 	}
-	return constScorer{}, nil
-}
-
-func (f failFamily) TrainSeq(o *obs.Context, opts model.TrainOptions, ds *ml.Dataset, r *rand.Rand) (pairs.Scorer, error) {
 	return constScorer{}, nil
 }
 

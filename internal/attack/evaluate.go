@@ -13,12 +13,6 @@ import (
 // model package's two-level stage share one implementation.
 type Candidate = pairs.Candidate
 
-// compareCandidates is the canonical candidate-list order; see
-// pairs.CompareCandidates.
-func compareCandidates(x, y Candidate) int {
-	return pairs.CompareCandidates(x, y)
-}
-
 // Evaluation holds the scored candidate lists of one (config, design,
 // split-layer) attack run. All LoC/accuracy metrics and the proximity
 // attack are computed from it without re-running inference, which is how
@@ -122,10 +116,6 @@ func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, s
 		ev.Truth[a] = int32(inst.Match(a))
 	}
 
-	total := n
-	if subset != nil {
-		total = len(subset)
-	}
 	backend := pairs.ResolveBackendObs(cfg.Obs, model, cfg.ScalarScoring)
 	if cfg.Ranking {
 		backend = pairs.Ranked(backend)
@@ -134,7 +124,7 @@ func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, s
 		Targets:    subset,
 		Cap:        cfg.retainCap(n),
 		ShardVpins: cfg.ShardVpins,
-		Workers:    cfg.workerCount(total),
+		Workers:    cfg.Workers,
 		Stride:     features.Width(cfg.Features),
 		Visit: func(a int, g *pairs.Gatherer) {
 			m := inst.Match(a)

@@ -75,7 +75,7 @@ func TestIndustrialTierSmoke(t *testing.T) {
 		cfg := base
 		cfg.Workers = c.workers
 		cfg.ShardVpins = c.shard
-		ev, _, err := RunTarget(cfg, chs, 0)
+		ev, _, err := runFold(cfg, chs, 0)
 		if err != nil {
 			t.Fatalf("workers=%d shard=%d: %v", c.workers, c.shard, err)
 		}
@@ -115,11 +115,11 @@ func TestMaxLoCCountTruncatesExactly(t *testing.T) {
 	full.MaxLoCCount = 0
 	capped := industrialSmokeConfig()
 
-	evFull, _, err := RunTarget(full, chs, 1)
+	evFull, _, err := runFold(full, chs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evCapped, _, err := RunTarget(capped, chs, 1)
+	evCapped, _, err := runFold(capped, chs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

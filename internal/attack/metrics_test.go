@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/pairs"
 )
 
 // randomEval builds a random but internally consistent Evaluation: each
@@ -34,7 +36,7 @@ func randomEval(rng *rand.Rand, n int) *Evaluation {
 				ev.TruthP[a] = p
 			}
 		}
-		slices.SortFunc(cands, compareCandidates)
+		slices.SortFunc(cands, pairs.CompareCandidates)
 		ev.Cands[a] = cands
 	}
 	return ev

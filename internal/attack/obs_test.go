@@ -9,13 +9,14 @@ import (
 
 // TestRunTargetMatchesRun pins the single-target entry point to the full
 // leave-one-out run: per-target randomness depends only on the seed and the
-// target index, so RunTarget must reproduce Run's evaluation exactly.
+// target index, so RunTargetInstances must reproduce RunInstances'
+// evaluation exactly.
 func TestRunTargetMatchesRun(t *testing.T) {
-	chs := challenges(t, 8)
+	insts := NewInstancesWorkers(challenges(t, 8), 0)
 	cfg := Imp9()
 	full := run(t, cfg, 8)
-	for target := range chs {
-		ev, radius, err := RunTarget(cfg, chs, target)
+	for target := range insts {
+		ev, radius, err := RunTargetInstances(cfg, insts, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,11 +50,11 @@ func TestRunTargetMatchesRun(t *testing.T) {
 }
 
 func TestRunTargetRejectsBadTarget(t *testing.T) {
-	chs := challenges(t, 8)
-	if _, _, err := RunTarget(Imp9(), chs, -1); err == nil {
+	insts := NewInstancesWorkers(challenges(t, 8), 0)
+	if _, _, err := RunTargetInstances(Imp9(), insts, -1); err == nil {
 		t.Error("negative target accepted")
 	}
-	if _, _, err := RunTarget(Imp9(), chs, len(chs)); err == nil {
+	if _, _, err := RunTargetInstances(Imp9(), insts, len(insts)); err == nil {
 		t.Error("out-of-range target accepted")
 	}
 }
@@ -103,7 +104,7 @@ func TestReportAgreesWithEvaluation(t *testing.T) {
 	o := obs.New(obs.Options{Command: "test"})
 	cfg := Imp9()
 	cfg.Obs = o
-	ev, _, err := RunTarget(cfg, chs, 1)
+	ev, _, err := runFold(cfg, chs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestRunReportPerTarget(t *testing.T) {
 	o := obs.New(obs.Options{Command: "test"})
 	cfg := Imp11()
 	cfg.Obs = o
-	res, err := Run(cfg, chs)
+	res, err := runLOO(cfg, chs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,12 @@
 package attack
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/split"
 )
 
 // DefaultPAFractions is the PA-LoC fraction grid searched during the
@@ -24,8 +20,8 @@ func DefaultPAFractions() []float64 {
 // and the attack picks the candidate with the smallest ManhattanVpin
 // distance (ties broken by higher probability, then randomly). It returns
 // the fraction of v-pins whose picked candidate is the true match. The rng
-// breaks exact ties only; the caller owns it (RunProximity hands each
-// target its derived unitPA stream).
+// breaks exact ties only; the caller owns it (RunProximityOnInstances hands
+// each target its derived unitPA stream).
 func (ev *Evaluation) ProximitySuccess(frac float64, rng *rand.Rand) float64 {
 	targets := ev.Subset
 	if targets == nil {
@@ -120,96 +116,42 @@ type PAOutcome struct {
 	ValidationDur time.Duration
 }
 
-// RunProximity executes the validation-based proximity attack for every
-// design under leave-one-out cross-validation: for each target, the PA-LoC
-// fraction is chosen by an 80/20 v-pin split of the training designs
-// (§III-H) and then applied to the target's scored candidates.
-func RunProximity(cfg Config, chs []*split.Challenge) ([]PAOutcome, error) {
-	return RunProximityOn(cfg, chs, nil)
-}
-
-// RunProximityOn is RunProximity reusing an existing attack run's scored
-// candidates (prior must come from Run with the same configuration and
-// challenges); with a nil prior the evaluations are computed here. Only the
-// validation stage is executed either way, and the PA outcome of a target
-// is identical whether its evaluation was reused or recomputed: all PA
-// randomness comes from the stream (cfg.Seed, unitPA, target), independent
-// of the attack-run streams.
+// RunProximityOnInstances executes the validation-based proximity attack
+// of §III-H for every design under leave-one-out cross-validation, reusing
+// the scored candidates of prior, a RunInstances result with the same
+// configuration and instances: for each target, the PA-LoC fraction is
+// chosen by an 80/20 v-pin split of the training designs and then applied
+// to the target's scored candidates. Only the validation stage is new work,
+// and every PA random draw comes from the stream (cfg.Seed, unitPA,
+// target), independent of the attack-run streams.
 //
 // Targets run concurrently on cfg.Workers goroutines (0 = GOMAXPROCS) with
-// bit-identical outcomes at any worker count. A failing target does not
-// abort its siblings; failed entries are zero-valued in the returned slice
-// and their errors are joined.
-func RunProximityOn(cfg Config, chs []*split.Challenge, prior *Result) ([]PAOutcome, error) {
-	return RunProximityOnInstances(cfg, NewInstancesWorkers(chs, cfg.Workers), prior)
-}
-
-// RunProximityOnInstances is RunProximityOn on already-prepared instances,
-// sharing the extractor/index construction cost with a prior attack run.
+// bit-identical outcomes at any worker count; entry t equals
+// ProximityTargetInstances for target t. A failing target does not abort
+// its siblings; failed entries are zero-valued in the returned slice and
+// their errors are joined.
 func RunProximityOnInstances(cfg Config, insts []*Instance, prior *Result) ([]PAOutcome, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := prepareRun(cfg, insts)
+	if err != nil {
 		return nil, err
 	}
-	if len(insts) < 2 {
-		return nil, fmt.Errorf("attack: proximity attack needs at least 2 designs")
+	if prior == nil || len(prior.Evals) != len(insts) {
+		return nil, fmt.Errorf("attack: proximity attack needs a prior result over the %d designs", len(insts))
 	}
-	if prior != nil && len(prior.Evals) != len(insts) {
-		return nil, fmt.Errorf("attack: prior result covers %d designs, want %d", len(prior.Evals), len(insts))
-	}
-	o := cfg.Obs
-	workers := cfg.workerCount(len(insts))
-	root := o.Begin("attack.pa", obs.F("config", cfg.Name),
-		obs.F("designs", len(insts)), obs.F("workers", workers))
-	defer root.End()
-	prog := o.NewProgress(fmt.Sprintf("pa.%s.L%d", cfg.Name, insts[0].Ch.SplitLayer),
-		int64(len(insts)))
-	defer prog.Finish()
 	outcomes := make([]PAOutcome, len(insts))
-	errs := make([]error, len(insts))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				target := int(next.Add(1)) - 1
-				if target >= len(insts) {
-					return
-				}
-				tsp := root.Begin("pa-target",
-					obs.F("design", insts[target].Ch.Design.Name), obs.F("worker", worker))
-				var ev *Evaluation
-				var radiusNorm float64
-				if prior != nil {
-					ev = prior.Evals[target]
-					radiusNorm = prior.RadiusNorm[target]
-				} else {
-					var err error
-					ev, radiusNorm, err = runTarget(cfg, insts, target, worker, tsp)
-					if err != nil {
-						errs[target] = err
-						tsp.End()
-						prog.Add(1)
-						continue
-					}
-				}
-				if ev == nil {
-					errs[target] = fmt.Errorf("attack: %s: target %s: prior result has no evaluation",
-						cfg.Name, insts[target].Ch.Design.Name)
-					tsp.End()
-					prog.Add(1)
-					continue
-				}
-				outcomes[target] = paTarget(cfg, insts, target, ev, radiusNorm, tsp)
-				tsp.End()
-				prog.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err = eachFold(cfg, insts, "attack.pa", "pa", func(target, worker int, root *obs.Span) error {
+		ev := prior.Evals[target]
+		if ev == nil {
+			return fmt.Errorf("attack: %s: target %s: prior result has no evaluation",
+				cfg.Name, insts[target].Ch.Design.Name)
+		}
+		tsp := root.Begin("pa-target",
+			obs.F("design", insts[target].Ch.Design.Name), obs.F("worker", worker))
+		outcomes[target] = paTarget(cfg, insts, target, ev, prior.RadiusNorm[target], tsp)
+		tsp.End()
+		return nil
+	})
+	if err != nil {
 		return outcomes, fmt.Errorf("attack: %s: proximity attack: %w", cfg.Name, err)
 	}
 	return outcomes, nil
@@ -219,8 +161,8 @@ func RunProximityOnInstances(cfg Config, insts []*Instance, prior *Result) ([]PA
 // outcome from an already-scored evaluation. Every random draw — the 80/20
 // validation split, validation-model training, and tie-breaking — comes
 // from streams derived from (cfg.Seed, unitPA/unitPAModel, target), so the
-// outcome is the same from RunProximity, RunProximityOn, and
-// ProximityTarget alike.
+// outcome is the same from RunProximityOnInstances and
+// ProximityTargetInstances alike.
 func paTarget(cfg Config, insts []*Instance, target int, ev *Evaluation,
 	radiusNorm float64, sp *obs.Span) PAOutcome {
 
@@ -244,25 +186,17 @@ func paTarget(cfg Config, insts []*Instance, target int, ev *Evaluation,
 	return out
 }
 
-// ProximityTarget runs the validation-based proximity attack for the single
-// design at index target, reusing its already-scored evaluation and
-// neighborhood radius from RunTarget (or from a full Run). Only the PA-LoC
-// validation stage is new work — the sibling targets' models are never
-// trained — and the outcome equals RunProximity's entry for the target:
-// PA randomness is derived from cfg.Seed and the target index alone.
-func ProximityTarget(cfg Config, chs []*split.Challenge, target int, ev *Evaluation, radiusNorm float64) (PAOutcome, error) {
-	return ProximityTargetInstances(cfg, NewInstancesWorkers(chs, cfg.Workers), target, ev, radiusNorm)
-}
-
-// ProximityTargetInstances is ProximityTarget on already-prepared
-// instances, typically the ones the evaluation was scored on.
+// ProximityTargetInstances runs the validation-based proximity attack for
+// the single design at index target, reusing its already-scored evaluation
+// and neighborhood radius from RunFoldInstances (or from a full
+// RunInstances) on the same instances. Only the PA-LoC validation stage is
+// new work — the sibling targets' models are never trained — and the
+// outcome equals RunProximityOnInstances' entry for the target: PA
+// randomness is derived from cfg.Seed and the target index alone.
 func ProximityTargetInstances(cfg Config, insts []*Instance, target int, ev *Evaluation, radiusNorm float64) (PAOutcome, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := prepareRun(cfg, insts)
+	if err != nil {
 		return PAOutcome{}, err
-	}
-	if len(insts) < 2 {
-		return PAOutcome{}, fmt.Errorf("attack: proximity attack needs at least 2 designs")
 	}
 	if target < 0 || target >= len(insts) {
 		return PAOutcome{}, fmt.Errorf("attack: target %d out of range 0..%d", target, len(insts)-1)
@@ -293,15 +227,11 @@ func (ev *Evaluation) fixedThresholdPA(rng *rand.Rand) float64 {
 		if k == 0 {
 			continue
 		}
-		if pick, ok := ev.proximityPickFixed(a, k, rng); ok && pick == ev.Truth[a] {
+		if pick, ok := ev.proximityPick(a, k, rng); ok && pick == ev.Truth[a] {
 			success++
 		}
 	}
 	return float64(success) / float64(ev.N)
-}
-
-func (ev *Evaluation) proximityPickFixed(a, k int, rng *rand.Rand) (int32, bool) {
-	return ev.proximityPick(a, k, rng)
 }
 
 // validatePAFraction selects the PA-LoC fraction: 80% of each training

@@ -161,7 +161,8 @@ func TestProximitySuccessBounds(t *testing.T) {
 
 func TestRunProximityOutcomes(t *testing.T) {
 	chs := challenges(t, 8)
-	outcomes, err := RunProximity(Imp9(), chs)
+	insts := NewInstancesWorkers(chs, 0)
+	outcomes, err := RunProximityOnInstances(Imp9(), insts, run(t, Imp9(), 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +185,16 @@ func TestRunProximityOutcomes(t *testing.T) {
 
 func TestRunProximityRejectsBadInput(t *testing.T) {
 	chs := challenges(t, 8)
-	if _, err := RunProximity(Imp9(), chs[:1]); err == nil {
+	prior := run(t, Imp9(), 8)
+	if _, err := RunProximityOnInstances(Imp9(), NewInstancesWorkers(chs[:1], 0), prior); err == nil {
 		t.Error("single design accepted")
+	}
+	insts := NewInstancesWorkers(chs, 0)
+	if _, err := RunProximityOnInstances(Imp9(), insts, nil); err == nil {
+		t.Error("missing prior result accepted")
+	}
+	if _, err := RunProximityOnInstances(Imp9(), insts[:3], prior); err == nil {
+		t.Error("prior result over a different design count accepted")
 	}
 }
 
@@ -201,7 +210,7 @@ func TestObfuscationNoiseHurtsAttack(t *testing.T) {
 	clean := run(t, Imp11(), 6)
 	cfg := Imp11()
 	cfg.Name = "Imp-11-noise"
-	noisy, err := Run(cfg, noised)
+	noisy, err := runLOO(cfg, noised)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,14 @@
 package attack
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pairs"
+	"repro/internal/par"
 	"repro/internal/split"
 )
 
@@ -33,9 +30,9 @@ const (
 // design, each produced by a model trained on the other designs.
 type Result struct {
 	Config Config
-	// Evals[i] is the evaluation with design i held out. When Run returns
-	// a partial result alongside an error, entries for failed targets are
-	// nil.
+	// Evals[i] is the evaluation with design i held out. When RunFolds
+	// returns a partial result alongside an error, entries for failed
+	// targets are nil.
 	Evals []*Evaluation
 	// RadiusNorm[i] is the neighborhood radius (fraction of die width)
 	// used when design i was the target; -1 without the Imp improvement.
@@ -69,16 +66,13 @@ func (r *Result) meanDur(f func(*Evaluation) time.Duration) time.Duration {
 	return sum / time.Duration(n)
 }
 
-// NewInstances prepares challenges for attack runs, building the feature
-// extractors and spatial indexes of all designs in parallel (GOMAXPROCS
-// workers). Use NewInstancesWorkers to bound the fan-out explicitly.
-func NewInstances(chs []*split.Challenge) []*Instance {
-	return pairs.NewAll(chs, 0)
-}
-
-// NewInstancesWorkers is NewInstances bounded to the given worker count
-// (<= 0 selects GOMAXPROCS). Instance construction is per-design
-// deterministic, so the result is identical at any worker count.
+// NewInstancesWorkers prepares challenges for attack runs, building the
+// feature extractors and spatial indexes of all designs on up to workers
+// goroutines (<= 0 selects GOMAXPROCS). Instance construction is per-design
+// deterministic, so the result is identical at any worker count. Instances
+// are read-only during a run and may be shared between concurrent runs:
+// callers that run several configurations over the same challenges
+// (experiment sweeps, the job server) pay the construction cost once.
 func NewInstancesWorkers(chs []*split.Challenge, workers int) []*Instance {
 	return pairs.NewAll(chs, workers)
 }
@@ -101,104 +95,110 @@ func prepareRun(cfg Config, insts []*Instance) (Config, error) {
 	return cfg, nil
 }
 
-// Run executes the full leave-one-out cross-validation attack of §III-C:
-// for every challenge, a model is trained on all other challenges and used
-// to score the held-out one. All challenges must be cuts at the same split
-// layer.
-//
-// Targets run concurrently on cfg.Workers goroutines (0 = GOMAXPROCS).
-// Each target's randomness is an independent stream derived from cfg.Seed
-// and the target index (see internal/rng), so the result is bit-identical
-// at every worker count, including 1.
-//
-// A failing target does not abort its siblings: Run finishes every target
-// and, when some failed, returns the partial Result — nil Evals entries
-// and RadiusNorm -1 for the failures — together with the joined per-target
-// errors.
-func Run(cfg Config, chs []*split.Challenge) (*Result, error) {
-	return RunInstances(cfg, NewInstancesWorkers(chs, cfg.Workers))
+// eachFold is the one loop over leave-one-out folds. It runs fn for every
+// fold of insts on a pool of cfg.Workers goroutines (0 = GOMAXPROCS) under a
+// root span and a live progress tracker ("<progress>.<config>.L<layer>":
+// done/total, rate, and ETA in the progress gauges and /progress), and joins
+// the per-fold errors. A failing fold does not abort its siblings. Every
+// fold derives its randomness from (cfg.Seed, unit, fold) alone, so nothing
+// depends on which worker runs which fold.
+func eachFold(cfg Config, insts []*Instance, span, progress string,
+	fn func(fold, worker int, root *obs.Span) error) error {
+
+	o := cfg.Obs
+	layer := insts[0].Ch.SplitLayer
+	workers := par.Workers(cfg.Workers, len(insts))
+	root := o.Begin(span, obs.F("config", cfg.Name), obs.F("layer", layer),
+		obs.F("designs", len(insts)), obs.F("workers", workers))
+	defer root.End()
+	prog := o.NewProgress(fmt.Sprintf("%s.%s.L%d", progress, cfg.Name, layer), int64(len(insts)))
+	defer prog.Finish()
+	return par.For(len(insts), workers, func(worker, fold int) error {
+		defer prog.Add(1)
+		return fn(fold, worker, root)
+	})
 }
 
-// RunInstances is Run on already-prepared instances, letting callers that
-// run several configurations over the same challenges (experiment sweeps)
-// pay the extractor/index construction cost once. Instances are read-only
-// during the run and may be shared between concurrent runs.
-func RunInstances(cfg Config, insts []*Instance) (*Result, error) {
+// FoldFunc computes one leave-one-out fold of a RunFolds call — train on
+// every instance except fold, score fold — and returns its evaluation and
+// neighborhood radius. worker is the pool goroutine running the fold and
+// root the run's span, for callers that nest per-fold spans under it. A nil
+// evaluation with a nil error skips the fold: its Result entry stays nil.
+type FoldFunc func(fold, worker int, root *obs.Span) (*Evaluation, float64, error)
+
+// RunFolds runs a full leave-one-out attack; every full run goes through
+// it. It validates the request, runs fold for every design on cfg.Workers
+// goroutines (0 = GOMAXPROCS), and assembles the per-fold results into one
+// Result. RunInstances computes each fold in-process; the experiment suite
+// and the job server pass a fold function that serves folds from (and saves
+// them to) a sweep checkpoint. Any fold function returning
+// RunFoldInstances' bits yields a Result bit-identical to RunInstances', at
+// any worker count and any mix of loaded and computed folds.
+//
+// A failing fold does not abort its siblings: RunFolds finishes every fold
+// and, when some failed, returns the partial Result — nil Evals entries and
+// RadiusNorm -1 for the failures — together with the joined per-fold
+// errors.
+func RunFolds(cfg Config, insts []*Instance, fold FoldFunc) (*Result, error) {
 	cfg, err := prepareRun(cfg, insts)
 	if err != nil {
 		return nil, err
 	}
 	o := cfg.Obs
-	workers := cfg.workerCount(len(insts))
-	sp := o.Begin("attack.run", obs.F("config", cfg.Name),
-		obs.F("layer", insts[0].Ch.SplitLayer), obs.F("designs", len(insts)),
-		obs.F("workers", workers))
-	defer sp.End()
-	// Live progress over targets: done/total, rate, and ETA land in the
-	// progress gauges and the /progress endpoint while the run executes.
-	prog := o.NewProgress(fmt.Sprintf("attack.%s.L%d", cfg.Name, insts[0].Ch.SplitLayer),
-		int64(len(insts)))
-	defer prog.Finish()
 	start := time.Now()
 	res := &Result{
 		Config:     cfg,
 		Evals:      make([]*Evaluation, len(insts)),
 		RadiusNorm: make([]float64, len(insts)),
 	}
-	errs := make([]error, len(insts))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			done := o.Metrics().Counter(fmt.Sprintf("attack.worker.%d.targets", worker))
-			for {
-				target := int(next.Add(1)) - 1
-				if target >= len(insts) {
-					return
-				}
-				res.RadiusNorm[target] = -1
-				ev, radius, err := runTarget(cfg, insts, target, worker, sp)
-				prog.Add(1)
-				if err != nil {
-					errs[target] = err
-					continue
-				}
-				res.Evals[target] = ev
-				res.RadiusNorm[target] = radius
-				done.Inc()
-			}
-		}(w)
-	}
-	wg.Wait()
+	failed := make([]bool, len(insts))
+	err = eachFold(cfg, insts, "attack.run", "attack", func(t, worker int, root *obs.Span) error {
+		res.RadiusNorm[t] = -1
+		ev, radius, err := fold(t, worker, root)
+		if err != nil {
+			failed[t] = true
+			return err
+		}
+		if ev != nil {
+			res.Evals[t] = ev
+			res.RadiusNorm[t] = radius
+			o.Metrics().Counter(fmt.Sprintf("attack.worker.%d.targets", worker)).Inc()
+		}
+		return nil
+	})
 	res.TotalDur = time.Since(start)
-	if err := errors.Join(errs...); err != nil {
-		failed := 0
-		for _, e := range errs {
-			if e != nil {
-				failed++
+	if err != nil {
+		n := 0
+		for _, f := range failed {
+			if f {
+				n++
 			}
 		}
-		return res, fmt.Errorf("attack: %s: %d of %d targets failed: %w",
-			cfg.Name, failed, len(insts), err)
+		return res, fmt.Errorf("attack: %s: %d of %d targets failed: %w", cfg.Name, n, len(insts), err)
 	}
 	return res, nil
 }
 
-// RunTarget runs the leave-one-out attack for the single held-out design at
-// index target: one model is trained on every other challenge and scores
-// only the target, skipping the len(chs)-1 sibling runs Run would perform.
-// It returns the target's evaluation and the neighborhood radius used (as a
-// fraction of die width; -1 without the Imp improvement). The evaluation is
-// identical to Run(cfg, chs).Evals[target] at any worker count: every
-// random stream the target consumes is derived from cfg.Seed, a stream
-// unit, and the target index alone (see internal/rng).
-func RunTarget(cfg Config, chs []*split.Challenge, target int) (*Evaluation, float64, error) {
-	return RunTargetInstances(cfg, NewInstancesWorkers(chs, cfg.Workers), target)
+// RunInstances executes the full leave-one-out cross-validation attack of
+// §III-C on prepared instances: for every design, a model is trained on all
+// other designs and used to score the held-out one. All instances must be
+// cuts at the same split layer.
+//
+// Each target's randomness is an independent stream derived from cfg.Seed
+// and the target index (see internal/rng), so the result is bit-identical
+// at every worker count, including 1, and entry t equals
+// RunFoldInstances(cfg, insts, t). Failures follow RunFolds.
+func RunInstances(cfg Config, insts []*Instance) (*Result, error) {
+	cfg = cfg.withDefaults()
+	return RunFolds(cfg, insts, func(fold, worker int, root *obs.Span) (*Evaluation, float64, error) {
+		return runTarget(cfg, insts, fold, worker, root)
+	})
 }
 
-// RunTargetInstances is RunTarget on already-prepared instances.
+// RunTargetInstances is RunFoldInstances framed as a single-target attack:
+// it logs that the sibling folds a full run would perform are skipped, then
+// runs the one fold. Commands and the job server answer single-design
+// requests through it.
 func RunTargetInstances(cfg Config, insts []*Instance, target int) (*Evaluation, float64, error) {
 	if cfg.Obs != nil && target >= 0 && target < len(insts) {
 		cfg.Obs.Log().Info("single-target attack: skipping sibling leave-one-out runs",
@@ -207,10 +207,10 @@ func RunTargetInstances(cfg Config, insts []*Instance, target int) (*Evaluation,
 	return RunFoldInstances(cfg, insts, target)
 }
 
-// RunFoldInstances is the fold primitive of the sweep layer: it runs exactly
-// one leave-one-out fold — train on every instance except target, score
-// target — and returns the fold's evaluation and neighborhood radius. It is
-// RunTargetInstances without the single-target framing: bit-identical to
+// RunFoldInstances is the fold primitive: it runs exactly one leave-one-out
+// fold — train on every instance except target, score target — and returns
+// the fold's evaluation and neighborhood radius (as a fraction of die
+// width; -1 without the Imp improvement). It is bit-identical to
 // RunInstances(cfg, insts).Evals[target] at any worker count, which is what
 // lets a full leave-one-out run be decomposed into independently scheduled
 // (and independently checkpointed) fold units and recombined exactly.
@@ -234,18 +234,6 @@ func others(insts []*Instance, target int) []*Instance {
 		}
 	}
 	return out
-}
-
-// trainModel trains the configuration's classifier through its learner
-// family, consuming the single shared rng sequentially. It is the legacy
-// sequential path kept for ScoreWithTrainingSet, whose callers own their
-// rng; the engine itself trains through the model package (see model.Train).
-func trainModel(cfg Config, ds *ml.Dataset, r *rand.Rand) (Scorer, error) {
-	fam, err := model.FamilyByName(cfg.Family)
-	if err != nil {
-		return nil, err
-	}
-	return fam.TrainSeq(cfg.Obs, cfg.TrainOptions().WithDefaults(), ds, r)
 }
 
 // trainModelUnit trains the configuration's classifier from streams derived
@@ -278,8 +266,8 @@ func trainModelUnit(cfg Config, ds *ml.Dataset, unit int64, target int) (Scorer,
 // targets. Training goes through the model layer: cfg.Models, when set,
 // serves repeated folds from its artifact cache (bit-identical to fresh
 // training); a nil store trains inline. The span for the target nests
-// under parent when one is given (Run's root span), else at the context's
-// root (RunTarget).
+// under parent when one is given (RunInstances' root span), else at the
+// context's root (RunFoldInstances).
 func runTarget(cfg Config, insts []*Instance, target, worker int, parent *obs.Span) (*Evaluation, float64, error) {
 	o := cfg.Obs
 	sp := o.BeginUnder(parent, "target",
@@ -319,21 +307,4 @@ func runTarget(cfg Config, insts []*Instance, target, worker int, parent *obs.Sp
 	o.Metrics().Counter("attack.targets").Inc()
 	o.Metrics().Counter("attack.pairs.scored").Add(ev.PairsScored)
 	return ev, radiusNorm, nil
-}
-
-// ScoreWithTrainingSet trains a model on a caller-provided training set and
-// scores the target instance with it. It exposes the engine's internals for
-// ablation studies (custom sampling schemes); normal attacks should use Run.
-// Training consumes the caller's rng sequentially (the caller controls
-// reproducibility); only candidate-pair scoring runs in parallel.
-func ScoreWithTrainingSet(cfg Config, ds *ml.Dataset, target *Instance, radiusNorm float64, r *rand.Rand) (*Evaluation, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	model, err := trainModel(cfg, ds, r)
-	if err != nil {
-		return nil, err
-	}
-	return scoreTarget(model, target, cfg, radiusNorm), nil
 }

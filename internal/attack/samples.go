@@ -6,16 +6,12 @@ import (
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/pairs"
-	"repro/internal/split"
 )
 
 // Instance is the per-(design, split layer) state of the pair pipeline;
 // see the pairs package, which owns it. The alias keeps the attack API
 // stable while every consumer shares one pipeline.
 type Instance = pairs.Instance
-
-// NewInstance prepares a challenge for training or testing.
-func NewInstance(ch *split.Challenge) *Instance { return pairs.New(ch) }
 
 // NeighborRadiusNorm pools the normalised matched-pair distances of the
 // given (training) instances and returns their q-quantile — the

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/pairs"
 )
 
 func TestPairFilterRules(t *testing.T) {
 	chs := challenges(t, 6)
-	inst := NewInstance(chs[4])
+	inst := pairs.New(chs[4])
 
 	// No filters: everything legal and distinct is admitted.
 	open := newPairFilter(inst, ML9().withDefaults(), -1)
@@ -62,7 +63,7 @@ func TestPairFilterRules(t *testing.T) {
 
 func TestSampleNegativeRespectsFilters(t *testing.T) {
 	chs := challenges(t, 8)
-	inst := NewInstance(chs[0])
+	inst := pairs.New(chs[0])
 	rng := rand.New(rand.NewSource(2))
 	cfg := WithY(Imp9()).withDefaults()
 	radius := NeighborRadiusNorm([]*Instance{inst}, 0.9)
@@ -92,7 +93,7 @@ func TestSampleNegativeRespectsFilters(t *testing.T) {
 
 func TestTrainingSetOnlyVpinsRestriction(t *testing.T) {
 	chs := challenges(t, 8)
-	insts := NewInstances(chs[:1])
+	insts := NewInstancesWorkers(chs[:1], 0)
 	rng := rand.New(rand.NewSource(3))
 	n := insts[0].N()
 	only := [][]int{make([]int, 0, n/2)}

@@ -3,25 +3,22 @@
 // registered under the paper's table/figure number and writes a plain-text
 // reproduction of the corresponding rows or series.
 //
-// Attack runs are cached per (configuration, split layer) inside a Suite,
-// so experiments that share underlying runs (Tables I and IV, Fig. 9, ...)
-// do not repeat work.
+// Attack runs are cached per (configuration content hash, split layer,
+// noise) inside a Suite, so experiments that share underlying runs (Tables
+// I and IV, Fig. 9, ...) do not repeat work.
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/attack"
 	"repro/internal/layout"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/priorwork"
 	"repro/internal/split"
 	"repro/internal/sweep"
@@ -76,30 +73,14 @@ type Suite struct {
 	models *model.Store
 }
 
-// NewSuite generates the five benchmark designs at the given scale.
-func NewSuite(scale float64, seed int64) (*Suite, error) {
-	return NewSuiteObs(nil, scale, seed)
-}
-
-// NewSuiteObs is NewSuite with an observability context (nil disables it)
-// that instruments suite generation and every subsequent suite operation.
-func NewSuiteObs(o *obs.Context, scale float64, seed int64) (*Suite, error) {
-	return NewSuiteParallel(o, scale, seed, 0)
-}
-
-// NewSuiteParallel is NewSuiteObs with an explicit worker bound (0 =
-// GOMAXPROCS): the benchmark designs are generated concurrently, and the
-// bound is inherited by every attack run and config sweep started through
-// the suite. Generation is per-design deterministic, so the suite is
-// identical at any worker count.
-func NewSuiteParallel(o *obs.Context, scale float64, seed int64, workers int) (*Suite, error) {
-	return NewSuiteTier(o, layout.TierStandard, scale, seed, workers)
-}
-
-// NewSuiteTier is NewSuiteParallel with an explicit suite tier: "standard"
-// for the five sb* benchmark designs, "industrial" for the three 100k+-cell
-// sbx* designs. The tier changes only which designs are generated; every
-// cache and attack path downstream is tier-agnostic.
+// NewSuiteTier generates a benchmark suite: tier "standard" for the five
+// sb* benchmark designs, "industrial" for the three 100k+-cell sbx* designs,
+// at the given scale and seed. The designs are generated concurrently on up
+// to workers goroutines (0 = GOMAXPROCS), and the bound is inherited by
+// every attack run and config sweep started through the suite. Generation is
+// per-design deterministic, so the suite is identical at any worker count.
+// o, when non-nil, instruments generation and every later suite operation;
+// every cache and attack path downstream is tier-agnostic.
 func NewSuiteTier(o *obs.Context, tier string, scale float64, seed int64, workers int) (*Suite, error) {
 	designs, err := layout.GenerateSuiteObs(o, layout.SuiteConfig{Tier: tier, Scale: scale, Seed: seed, Workers: workers})
 	if err != nil {
@@ -124,15 +105,6 @@ func (s *Suite) SetModelStore(st *model.Store) {
 	s.mu.Lock()
 	s.models = st
 	s.mu.Unlock()
-}
-
-// provenance pins the suite shape for sweep units.
-func (s *Suite) provenance() sweep.Provenance {
-	tier := s.Tier
-	if tier == "" {
-		tier = layout.TierStandard
-	}
-	return sweep.Provenance{Tier: tier, Scale: s.Scale, Seed: s.Seed}
 }
 
 // cacheLookup records a suite-cache outcome on the metrics registry.
@@ -250,26 +222,46 @@ func (s *Suite) prepare(cfg attack.Config) attack.Config {
 	return cfg
 }
 
+// runKey is the cache key of a run at a (layer, noise) coordinate: the
+// config's content hash (which covers its name), exactly what the run's
+// sweep units key on, so two configs sharing a name never share a result.
+func runKey(cfg attack.Config, layer int, sd float64) string {
+	return fmt.Sprintf("%s@%d/%g", cfg.OptionsHash(), layer, sd)
+}
+
 // Run executes (and caches) a leave-one-out attack run of cfg at the given
 // split layer.
 func (s *Suite) Run(cfg attack.Config, layer int) (*attack.Result, error) {
-	key := fmt.Sprintf("%s@%d", cfg.Name, layer)
+	return s.RunNoisy(cfg, layer, 0)
+}
+
+// RunNoisy executes (and caches) a leave-one-out run of cfg at the given
+// split layer on challenges with Gaussian y-noise of standard deviation sd
+// (a fraction of die height; 0 is the clean suite). Every fold is a sweep
+// unit: with a Checkpoint, folds already in it are loaded and the rest are
+// computed and saved; either way the Result is bit-identical to
+// attack.RunInstances on the same instances.
+func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Result, error) {
+	key := runKey(cfg, layer, sd)
 	s.mu.Lock()
-	if r, ok := s.runs[key]; ok {
-		s.mu.Unlock()
-		s.cacheLookup(true)
+	r, ok := s.runs[key]
+	s.mu.Unlock()
+	s.cacheLookup(ok)
+	if ok {
 		return r, nil
 	}
-	s.mu.Unlock()
-	s.cacheLookup(false)
 
-	insts, err := s.Instances(layer, 0)
+	insts, err := s.Instances(layer, sd)
 	if err != nil {
 		return nil, err
 	}
-	r, err := s.runFolds(cfg, layer, 0, insts)
+	pcfg := s.prepare(cfg)
+	r, err = attack.RunFolds(pcfg, insts, func(fold, _ int, _ *obs.Span) (*attack.Evaluation, float64, error) {
+		ev, radius, _, err := sweep.RunUnit(s.Obs, s.Checkpoint, s.unit(pcfg, layer, sd, fold), pcfg, insts)
+		return ev, radius, err
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: %s at layer %d: %w", pcfg.Name, layer, err)
 	}
 	s.mu.Lock()
 	s.runs[key] = r
@@ -277,171 +269,55 @@ func (s *Suite) Run(cfg attack.Config, layer int) (*attack.Result, error) {
 	return r, nil
 }
 
-// runFolds executes a full leave-one-out run of cfg fold by fold on the
-// suite's worker pool, assembling the per-fold evaluations into one
-// attack.Result. Each fold goes through runFold — and therefore through the
-// checkpoint when one is configured — and is bit-identical to the matching
-// entry of a monolithic attack.RunInstances call, so decomposition (and any
-// mix of loaded and computed folds) never changes results.
-func (s *Suite) runFolds(cfg attack.Config, layer int, sd float64, insts []*attack.Instance) (*attack.Result, error) {
-	pcfg := s.prepare(cfg)
-	start := time.Now()
-	res := &attack.Result{
-		Config:     pcfg,
-		Evals:      make([]*attack.Evaluation, len(insts)),
-		RadiusNorm: make([]float64, len(insts)),
-	}
-	name := fmt.Sprintf("attack.%s.L%d", pcfg.Name, layer)
-	if sd != 0 {
-		name += fmt.Sprintf(".noise%g", sd)
-	}
-	err := s.sweep(name, len(insts), func(fold int) error {
-		res.RadiusNorm[fold] = -1
-		ev, radius, err := s.runFold(pcfg, layer, sd, insts, fold)
-		if err != nil {
-			return err
-		}
-		res.Evals[fold] = ev
-		res.RadiusNorm[fold] = radius
-		return nil
-	})
-	res.TotalDur = time.Since(start)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s at layer %d: %w", pcfg.Name, layer, err)
-	}
-	return res, nil
-}
-
-// runFold runs one leave-one-out fold, serving it from (and saving it to)
-// the checkpoint when the suite has one.
-func (s *Suite) runFold(pcfg attack.Config, layer int, sd float64,
-	insts []*attack.Instance, fold int) (*attack.Evaluation, float64, error) {
-
-	if s.Checkpoint != nil {
-		ev, radius, _, err := sweep.RunUnit(s.Obs, s.Checkpoint, s.unit(pcfg, layer, sd, fold), pcfg, insts)
-		return ev, radius, err
-	}
-	return attack.RunFoldInstances(pcfg, insts, fold)
-}
-
-// unit builds the sweep work unit of one fold. Every configuration is
-// content-addressable — learner families serialize their identity into
-// OptionsHash — so every fold has a unit.
+// unit builds the sweep work unit of one fold.
 func (s *Suite) unit(pcfg attack.Config, layer int, sd float64, fold int) sweep.Unit {
-	return sweep.Unit{
-		Prov:   s.provenance(),
-		Config: pcfg.Name,
-		Spec:   pcfg.OptionsHash(),
-		Layer:  layer,
-		Noise:  sd,
-		Fold:   fold,
-		Design: s.Designs[fold].Name,
-	}
+	prov := sweep.Provenance{Tier: s.Tier, Scale: s.Scale, Seed: s.Seed}
+	return sweep.NewUnit(prov, pcfg, layer, sd, fold, s.Designs[fold].Name)
 }
 
 // RunPA executes (and caches) the validation-based proximity attack of cfg
 // at the given split layer, optionally on noise-obfuscated challenges
-// (sd > 0, as a fraction of die height).
+// (sd > 0, as a fraction of die height). It reuses the cached attack run's
+// candidate lists; only the PA-LoC validation stage is new work.
 func (s *Suite) RunPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutcome, error) {
-	key := fmt.Sprintf("%s@%d/%g", cfg.Name, layer, sd)
+	key := runKey(cfg, layer, sd)
 	s.mu.Lock()
-	if o, ok := s.pa[key]; ok {
-		s.mu.Unlock()
-		s.cacheLookup(true)
-		return o, nil
-	}
+	out, ok := s.pa[key]
 	s.mu.Unlock()
-	s.cacheLookup(false)
+	s.cacheLookup(ok)
+	if ok {
+		return out, nil
+	}
 
 	insts, err := s.Instances(layer, sd)
 	if err != nil {
 		return nil, err
 	}
-	// Reuse the cached attack run's candidate lists; only the PA-LoC
-	// validation stage is new work.
-	var prior *attack.Result
-	if sd == 0 {
-		if prior, err = s.Run(cfg, layer); err != nil {
-			return nil, err
-		}
-	} else {
-		if prior, err = s.RunNoisy(cfg, layer, sd); err != nil {
-			return nil, err
-		}
+	prior, err := s.RunNoisy(cfg, layer, sd)
+	if err != nil {
+		return nil, err
 	}
-	o, err := attack.RunProximityOnInstances(s.prepare(cfg), insts, prior)
+	out, err = attack.RunProximityOnInstances(s.prepare(cfg), insts, prior)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.pa[key] = o
+	s.pa[key] = out
 	s.mu.Unlock()
-	return o, nil
+	return out, nil
 }
 
-// RunNoisy executes (and caches) a leave-one-out run on noise-obfuscated
-// challenges.
-func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Result, error) {
-	if sd == 0 {
-		return s.Run(cfg, layer)
-	}
-	key := fmt.Sprintf("%s@%d/noise%g", cfg.Name, layer, sd)
-	s.mu.Lock()
-	if r, ok := s.runs[key]; ok {
-		s.mu.Unlock()
-		s.cacheLookup(true)
-		return r, nil
-	}
-	s.mu.Unlock()
-	s.cacheLookup(false)
-
-	insts, err := s.Instances(layer, sd)
-	if err != nil {
-		return nil, err
-	}
-	r, err := s.runFolds(cfg, layer, sd, insts)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.runs[key] = r
-	s.mu.Unlock()
-	return r, nil
-}
-
-// sweep runs fn for every index in 0..n-1 on a bounded pool (suite worker
-// bound capped at n) and joins the per-index errors, tracking live progress
-// under "sweep.<name>". Each index's work is deterministic on its own, so
-// the sweep result does not depend on the worker count.
+// sweep runs fn for every index in 0..n-1 on the suite's worker pool and
+// joins the per-index errors, tracking live progress under "sweep.<name>".
+// Each index's work is deterministic on its own, so the sweep result does
+// not depend on the worker count.
 func (s *Suite) sweep(name string, n int, fn func(i int) error) error {
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	prog := s.Obs.NewProgress("sweep."+name, int64(n))
 	defer prog.Finish()
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-				prog.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return par.For(n, s.Workers, func(_, i int) error {
+		defer prog.Add(1)
+		return fn(i)
+	})
 }
 
 // RunAll executes (and caches) the leave-one-out attack runs of all

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/layout"
 )
 
 // One tiny suite shared by all experiment tests; experiment runs are cached
@@ -20,7 +21,7 @@ var (
 func testSuite(t *testing.T) *Suite {
 	t.Helper()
 	suiteOnce.Do(func() {
-		suiteVal, suiteErr = NewSuite(0.12, 3)
+		suiteVal, suiteErr = NewSuiteTier(nil, layout.TierStandard, 0.12, 3, 0)
 	})
 	if suiteErr != nil {
 		t.Fatal(suiteErr)
@@ -32,6 +33,43 @@ func TestNewSuite(t *testing.T) {
 	s := testSuite(t)
 	if len(s.Designs) != 5 {
 		t.Fatalf("suite has %d designs, want 5", len(s.Designs))
+	}
+}
+
+// TestSuiteRunCacheKeysOnOptions pins the run caches to the coordinates
+// sweep units key on: a config that shares a display name with a cached
+// run but differs in options is a different run, not a cache hit, and the
+// shard planner keeps both.
+func TestSuiteRunCacheKeysOnOptions(t *testing.T) {
+	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
+	base, err := s.Run(attack.Imp9(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := attack.Imp9()
+	small.NumTrees = 3
+	got, err := s.Run(small, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == base {
+		t.Fatal("Imp-9 with 3 trees was served Imp-9's cached result")
+	}
+	want, err := NewSuiteFromDesigns(s.Designs, 0.12, 3).Run(small, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Evals {
+		if got.Evals[i].Digest() != want.Evals[i].Digest() {
+			t.Errorf("fold %d: digest differs from a fresh suite's run", i)
+		}
+	}
+	if again, _ := s.RunNoisy(small, 8, 0); again != got {
+		t.Error("RunNoisy at noise 0 missed Run's cache entry")
+	}
+	units := s.PlanRuns([]RunSpec{{Config: attack.Imp9(), Layer: 8}, {Config: small, Layer: 8}})
+	if len(units) != 2*len(s.Designs) {
+		t.Errorf("plan has %d units, want %d: same-name configs were deduplicated", len(units), 2*len(s.Designs))
 	}
 }
 

@@ -30,11 +30,11 @@ func extExperiments() []Experiment {
 	}
 }
 
-// dlConfigs are the DL-perspective comparison configurations: the paper's
-// strongest Bagging pipeline against the MLP family (with the routing-hint
-// feature block) and the same MLP with the list-wise ranking head.
-func dlConfigs() []attack.Config {
-	return []attack.Config{attack.Imp11(), attack.DLMLP(), attack.DLMLPRank()}
+// extDLRuns declares ext-dl's runs: the paper's strongest Bagging pipeline
+// against the MLP family (with the routing-hint feature block) and the same
+// MLP with the list-wise ranking head, at the top split layer.
+func extDLRuns() ([]attack.Config, []int) {
+	return []attack.Config{attack.Imp11(), attack.DLMLP(), attack.DLMLPRank()}, []int{8}
 }
 
 // ExtDL recasts the DL-perspective split-manufacturing attack (Li et al.,
@@ -48,8 +48,8 @@ func dlConfigs() []attack.Config {
 // scores become per-list probability distributions (visible in the AUC,
 // which pools scores across lists).
 func ExtDL(s *Suite, w io.Writer) error {
-	const layer = 8
-	configs := dlConfigs()
+	configs, layers := extDLRuns()
+	layer := layers[0]
 	results, err := s.RunAll(configs, layer)
 	if err != nil {
 		return err
@@ -76,23 +76,29 @@ func ExtDL(s *Suite, w io.Writer) error {
 	return nil
 }
 
+// extRecoveryRuns declares ext-recovery's run: Imp-9Y at split layer 8.
+func extRecoveryRuns() ([]attack.Config, []int) {
+	return []attack.Config{attack.WithY(attack.Imp9())}, []int{8}
+}
+
 // ExtRecovery goes past the paper's structural PA metric: it rewires each
 // design's BEOL according to the attacker's proximity-attack picks and
 // simulates the reconstruction against the reference on random input
 // vectors. Functional recovery exceeds structural success because wrong
 // guesses often wire in correlated signals.
 func ExtRecovery(s *Suite, w io.Writer) error {
-	const layer = 8
 	const vectors = 16
+	configs, layers := extRecoveryRuns()
+	cfg, layer := configs[0], layers[0]
 	chs, err := s.Challenges(layer)
 	if err != nil {
 		return err
 	}
-	res, err := s.Run(attack.WithY(attack.Imp9()), layer)
+	res, err := s.Run(cfg, layer)
 	if err != nil {
 		return err
 	}
-	pa, err := s.RunPA(attack.WithY(attack.Imp9()), layer, 0)
+	pa, err := s.RunPA(cfg, layer, 0)
 	if err != nil {
 		return err
 	}
@@ -132,16 +138,22 @@ func ExtRecovery(s *Suite, w io.Writer) error {
 	return nil
 }
 
-// ExtClassifiers compares classifiers under the Imp-11 pipeline at split
-// layers 8 and 6: accuracy at fixed LoC sizes plus the pair-scoring AUC.
-func ExtClassifiers(s *Suite, w io.Writer) error {
+// extClassifiersRuns declares ext-classifiers' runs: the Imp-11 pipeline
+// with Bagging/REPTree, RandomForest, and logistic regression, at split
+// layers 8 and 6.
+func extClassifiersRuns() ([]attack.Config, []int) {
 	logistic := attack.WithFamily(attack.Imp11(), model.FamilyLogistic)
 	logistic.Name = "Imp-11-logistic"
 	forest := attack.WithBase(attack.Imp11(), ml.RandomTree, 0)
 	forest.Name = "Imp-11-RandomForest"
-	configs := []attack.Config{attack.Imp11(), forest, logistic}
+	return []attack.Config{attack.Imp11(), forest, logistic}, []int{8, 6}
+}
 
-	for _, layer := range []int{8, 6} {
+// ExtClassifiers compares classifiers under the Imp-11 pipeline at split
+// layers 8 and 6: accuracy at fixed LoC sizes plus the pair-scoring AUC.
+func ExtClassifiers(s *Suite, w io.Writer) error {
+	configs, layers := extClassifiersRuns()
+	for _, layer := range layers {
 		fmt.Fprintf(w, "Extension: classifier comparison - split layer %d (Imp-11 pipeline)\n", layer)
 		tw := newTab(w)
 		fmt.Fprintln(tw, "classifier\tacc@|LoC|=5\tacc@|LoC|=20\tpair AUC\truntime")
@@ -189,11 +201,19 @@ func pairAUC(ev *attack.Evaluation) float64 {
 	return ml.AUC(scores, labels)
 }
 
+// extDefenseRuns declares ext-defense's in-suite run: the undefended
+// Imp-11 baseline at split layer 6.
+func extDefenseRuns() ([]attack.Config, []int) {
+	return []attack.Config{attack.Imp11()}, []int{6}
+}
+
 // ExtDefense measures the attack against layout-level defenses at split
 // layer 6: routing perturbation with growing strength and wire lifting,
 // reporting attack accuracy, v-pin population, and wirelength overhead.
+// Every defense variant attacks with the baseline's configuration.
 func ExtDefense(s *Suite, w io.Writer) error {
-	const layer = 6
+	configs, layers := extDefenseRuns()
+	baseCfg, layer := configs[0], layers[0]
 	type variant struct {
 		name  string
 		apply func(d *layout.Design, seed int64) (*layout.Design, obfuscate.Cost, error)
@@ -213,7 +233,7 @@ func ExtDefense(s *Suite, w io.Writer) error {
 		}},
 	}
 
-	base, err := s.Run(attack.Imp11(), layer)
+	base, err := s.Run(baseCfg, layer)
 	if err != nil {
 		return err
 	}
@@ -246,9 +266,9 @@ func ExtDefense(s *Suite, w io.Writer) error {
 				return err
 			}
 		}
-		cfg := attack.Imp11()
-		cfg.Name = fmt.Sprintf("Imp-11-def%d", vi)
-		res, err := attack.Run(s.prepare(cfg), chs)
+		cfg := s.prepare(baseCfg)
+		cfg.Name = fmt.Sprintf("%s-def%d", baseCfg.Name, vi)
+		res, err := attack.RunInstances(cfg, attack.NewInstancesWorkers(chs, cfg.Workers))
 		if err != nil {
 			return err
 		}

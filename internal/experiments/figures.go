@@ -283,11 +283,11 @@ func Fig9(s *Suite, w io.Writer) error {
 // obfuscation noise (SD = 1 and 2 % of die height) at split layers 6 and 4.
 func Fig10(s *Suite, w io.Writer) error {
 	fracs := attack.CurveFractions()
-	sds := []float64{0, 0.01, 0.02}
-	for _, layer := range []int{6, 4} {
+	cfg, layers, sds := noiseRuns()
+	for _, layer := range layers {
 		curves := make([][]attack.TradeoffPoint, len(sds))
 		for i, sd := range sds {
-			res, err := s.RunNoisy(attack.Imp11(), layer, sd)
+			res, err := s.RunNoisy(cfg, layer, sd)
 			if err != nil {
 				return err
 			}

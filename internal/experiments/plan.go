@@ -6,8 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/attack"
-	"repro/internal/ml"
-	"repro/internal/model"
 	"repro/internal/sweep"
 )
 
@@ -21,25 +19,17 @@ type RunSpec struct {
 	Noise  float64
 }
 
-// Deps enumerations per experiment. Each mirrors exactly the Run/RunNoisy
-// calls its renderer makes (see tables.go, figures.go, extensions.go), so a
+// Deps enumerations per experiment. Each expands the same run declaration
+// its renderer reads (tableIIRuns, tableIVConfigs, noiseRuns, ...), so a
 // sharded plan pre-computes precisely the folds the merge run will load.
 
 func depsTableI() []RunSpec {
 	return crossLayers(attack.StandardConfigs(), tableLayers)
 }
 
-func depsTableII() []RunSpec {
-	rf := attack.WithBase(attack.Imp7(), ml.RandomTree, 0)
-	rf.Name = "Imp-7-RandomTree"
-	return crossLayers([]attack.Config{rf, attack.Imp7()}, []int{8, 6})
-}
+func depsTableII() []RunSpec { return crossLayers(tableIIRuns()) }
 
-func depsTableIII() []RunSpec {
-	two := attack.WithTwoLevel(attack.Imp11())
-	two.Name = "Imp-11-2L"
-	return crossLayers([]attack.Config{two, attack.Imp11()}, []int{8})
-}
+func depsTableIII() []RunSpec { return crossLayers(tableIIIRuns()) }
 
 func depsTableIV() []RunSpec {
 	var out []RunSpec
@@ -49,44 +39,30 @@ func depsTableIV() []RunSpec {
 	return out
 }
 
-// depsNoise covers Table VI and Fig. 10: Imp-11 with and without Gaussian
-// y-noise obfuscation at the two lower split layers.
+// depsNoise covers Table VI and Fig. 10.
 func depsNoise() []RunSpec {
+	cfg, layers, sds := noiseRuns()
 	var out []RunSpec
-	for _, layer := range []int{6, 4} {
-		for _, sd := range []float64{0, 0.01, 0.02} {
-			out = append(out, RunSpec{Config: attack.Imp11(), Layer: layer, Noise: sd})
+	for _, layer := range layers {
+		for _, sd := range sds {
+			out = append(out, RunSpec{Config: cfg, Layer: layer, Noise: sd})
 		}
 	}
 	return out
 }
 
-func depsExtClassifiers() []RunSpec {
-	// Every classifier is a registered learner family now, so all three are
-	// content-addressable and checkpoint as plan units.
-	logistic := attack.WithFamily(attack.Imp11(), model.FamilyLogistic)
-	logistic.Name = "Imp-11-logistic"
-	forest := attack.WithBase(attack.Imp11(), ml.RandomTree, 0)
-	forest.Name = "Imp-11-RandomForest"
-	return crossLayers([]attack.Config{attack.Imp11(), forest, logistic}, []int{8, 6})
-}
+// depsExtClassifiers: every classifier is a registered learner family, so
+// all three are content-addressable and checkpoint as plan units.
+func depsExtClassifiers() []RunSpec { return crossLayers(extClassifiersRuns()) }
 
-// depsExtDL covers the DL-perspective comparison: Bagging vs the MLP family
-// vs the MLP with the list-wise ranking head, at the top split layer.
-func depsExtDL() []RunSpec {
-	return crossLayers(dlConfigs(), []int{8})
-}
+func depsExtDL() []RunSpec { return crossLayers(extDLRuns()) }
 
-func depsExtDefense() []RunSpec {
-	// Only the undefended baseline runs against the suite's own challenges;
-	// the defense variants mutate layouts out-of-suite and cannot be
-	// checkpointed as units.
-	return crossLayers([]attack.Config{attack.Imp11()}, []int{6})
-}
+// depsExtDefense: only the undefended baseline runs against the suite's own
+// challenges; the defense variants mutate layouts out-of-suite and cannot
+// be checkpointed as units.
+func depsExtDefense() []RunSpec { return crossLayers(extDefenseRuns()) }
 
-func depsExtRecovery() []RunSpec {
-	return crossLayers([]attack.Config{attack.WithY(attack.Imp9())}, []int{8})
-}
+func depsExtRecovery() []RunSpec { return crossLayers(extRecoveryRuns()) }
 
 // crossLayers expands configs × layers into clean (noise-0) run specs.
 func crossLayers(configs []attack.Config, layers []int) []RunSpec {
@@ -117,11 +93,11 @@ func (s *Suite) PlanRuns(runs []RunSpec) []PlanUnit {
 	seen := map[string]bool{}
 	for _, r := range runs {
 		pcfg := s.prepare(r.Config)
-		runKey := fmt.Sprintf("%s@%d/%g", pcfg.Name, r.Layer, r.Noise)
-		if seen[runKey] {
+		key := runKey(pcfg, r.Layer, r.Noise)
+		if seen[key] {
 			continue
 		}
-		seen[runKey] = true
+		seen[key] = true
 		for fold := range s.Designs {
 			units = append(units, PlanUnit{Unit: s.unit(pcfg, r.Layer, r.Noise, fold), Config: pcfg})
 		}

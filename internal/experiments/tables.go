@@ -111,19 +111,26 @@ func TableI(s *Suite, w io.Writer) error {
 	return nil
 }
 
+// tableIIRuns declares Table II's runs: Bagging over RandomTree (the
+// predecessor [18]) and over REPTree (this paper) under Imp-7, at split
+// layers 8 and 6.
+func tableIIRuns() ([]attack.Config, []int) {
+	rf := attack.WithBase(attack.Imp7(), ml.RandomTree, 0)
+	rf.Name = "Imp-7-RandomTree"
+	return []attack.Config{rf, attack.Imp7()}, []int{8, 6}
+}
+
 // TableII reproduces Table II: Bagging with RandomTree (the predecessor
 // [18]) against Bagging with REPTree (this paper) under Imp-7, reporting
 // the threshold-0.5 operating point and runtime for split layers 8 and 6.
 func TableII(s *Suite, w io.Writer) error {
-	rf := attack.WithBase(attack.Imp7(), ml.RandomTree, 0)
-	rf.Name = "Imp-7-RandomTree"
-	rep := attack.Imp7()
-	for _, layer := range []int{8, 6} {
-		rfRes, err := s.Run(rf, layer)
+	configs, layers := tableIIRuns()
+	for _, layer := range layers {
+		rfRes, err := s.Run(configs[0], layer)
 		if err != nil {
 			return err
 		}
-		repRes, err := s.Run(rep, layer)
+		repRes, err := s.Run(configs[1], layer)
 		if err != nil {
 			return err
 		}
@@ -152,17 +159,23 @@ func TableII(s *Suite, w io.Writer) error {
 	return nil
 }
 
+// tableIIIRuns declares Table III's runs: Imp-11 with and without
+// two-level pruning at split layer 8.
+func tableIIIRuns() ([]attack.Config, []int) {
+	two := attack.WithTwoLevel(attack.Imp11())
+	two.Name = "Imp-11-2L"
+	return []attack.Config{two, attack.Imp11()}, []int{8}
+}
+
 // TableIII reproduces Table III: two-level pruning against no pruning with
 // Imp-11 at split layer 8, at the threshold-0.5 operating point.
 func TableIII(s *Suite, w io.Writer) error {
-	two := attack.WithTwoLevel(attack.Imp11())
-	two.Name = "Imp-11-2L"
-	plain := attack.Imp11()
-	twoRes, err := s.Run(two, 8)
+	configs, layers := tableIIIRuns()
+	twoRes, err := s.Run(configs[0], layers[0])
 	if err != nil {
 		return err
 	}
-	plainRes, err := s.Run(plain, 8)
+	plainRes, err := s.Run(configs[1], layers[0])
 	if err != nil {
 		return err
 	}
@@ -303,19 +316,26 @@ func TableV(s *Suite, w io.Writer) error {
 	return nil
 }
 
+// noiseRuns declares the runs Table VI and Fig. 10 share: Imp-11 under
+// Gaussian y-noise obfuscation of SD = 0, 1 and 2 % of the die height, at
+// split layers 6 and 4.
+func noiseRuns() (cfg attack.Config, layers []int, sds []float64) {
+	return attack.Imp11(), []int{6, 4}, []float64{0, 0.01, 0.02}
+}
+
 // TableVI reproduces Table VI: validated proximity-attack success with
 // Gaussian y-noise obfuscation at SD = 0, 1 and 2 % of the die height, for
 // split layers 6 and 4 with Imp-11.
 func TableVI(s *Suite, w io.Writer) error {
-	sds := []float64{0, 0.01, 0.02}
-	for _, layer := range []int{6, 4} {
+	cfg, layers, sds := noiseRuns()
+	for _, layer := range layers {
 		fmt.Fprintf(w, "Table VI - split layer %d (Imp-11)\n", layer)
 		tw := newTab(w)
 		fmt.Fprintln(tw, "design\tno-noise\tSD=1%\tSD=2%")
 		rows := map[string][]float64{}
 		var names []string
 		for _, sd := range sds {
-			outs, err := s.RunPA(attack.Imp11(), layer, sd)
+			outs, err := s.RunPA(cfg, layer, sd)
 			if err != nil {
 				return err
 			}

@@ -7,18 +7,15 @@
 package layout
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cell"
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/place"
 	"repro/internal/rng"
 	"repro/internal/route"
@@ -380,13 +377,7 @@ func GenerateSuiteObs(o *obs.Context, cfg SuiteConfig) ([]*Design, error) {
 	if profiles == nil {
 		return nil, fmt.Errorf("layout: unknown suite tier %q (want %v)", cfg.Tier, Tiers())
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(profiles) {
-		workers = len(profiles)
-	}
+	workers := par.Workers(cfg.Workers, len(profiles))
 	tier := cfg.Tier
 	if tier == "" {
 		tier = TierStandard
@@ -394,39 +385,25 @@ func GenerateSuiteObs(o *obs.Context, cfg SuiteConfig) ([]*Design, error) {
 	sp := o.Begin("layout.suite", obs.F("tier", tier), obs.F("scale", cfg.Scale),
 		obs.F("seed", cfg.Seed), obs.F("designs", len(profiles)), obs.F("workers", workers))
 	designs := make([]*Design, len(profiles))
-	errs := make([]error, len(profiles))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(profiles) {
-					return
-				}
-				p := profiles[i]
-				dsp := sp.Begin("design", obs.F("name", p.Name))
-				d, err := Generate(p)
-				if err != nil {
-					dsp.End()
-					errs[i] = err
-					continue
-				}
-				dsp.SetAttr("cells", len(d.Netlist.Cells))
-				dsp.SetAttr("nets", len(d.Netlist.Nets))
-				dsp.End()
-				o.Metrics().Counter("layout.designs.generated").Inc()
-				o.Log().Debug("design generated", "name", d.Name,
-					"cells", len(d.Netlist.Cells), "nets", len(d.Netlist.Nets))
-				designs[i] = d
-			}
-		}()
-	}
-	wg.Wait()
+	err := par.For(len(profiles), workers, func(_, i int) error {
+		p := profiles[i]
+		dsp := sp.Begin("design", obs.F("name", p.Name))
+		d, err := Generate(p)
+		if err != nil {
+			dsp.End()
+			return err
+		}
+		dsp.SetAttr("cells", len(d.Netlist.Cells))
+		dsp.SetAttr("nets", len(d.Netlist.Nets))
+		dsp.End()
+		o.Metrics().Counter("layout.designs.generated").Inc()
+		o.Log().Debug("design generated", "name", d.Name,
+			"cells", len(d.Netlist.Cells), "nets", len(d.Netlist.Nets))
+		designs[i] = d
+		return nil
+	})
 	sp.End()
-	if err := errors.Join(errs...); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return designs, nil

@@ -1,13 +1,11 @@
 package ml
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Bagging is the bootstrap-aggregating meta-classifier. Following Weka, it
@@ -31,19 +29,11 @@ const DefaultBaggingSize = 10
 const DefaultForestSize = 100
 
 // TrainBagging trains n base trees sequentially on independent bootstrap
-// resamples, all drawn from the single shared rng. The resulting ensemble
-// depends on the rng's state and on every draw made during training; for
-// the scheduling-independent parallel path used by the attack engine, see
-// TrainBaggingStreams.
+// resamples, all drawn from the single shared rng in tree order. The
+// resulting ensemble depends on the rng's state and on every draw made
+// during training; for the scheduling-independent parallel path used by the
+// attack engine, see TrainBaggingStreams.
 func TrainBagging(ds *Dataset, n int, opts TreeOptions, rng *rand.Rand) (*Bagging, error) {
-	return TrainBaggingObs(nil, ds, n, opts, rng)
-}
-
-// TrainBaggingObs is TrainBagging reporting per-ensemble logs and per-tree
-// size metrics to an observability context (nil disables both). Training is
-// sequential: tree i's bootstrap resample and induction randomness are
-// consumed from the shared rng in tree order.
-func TrainBaggingObs(o *obs.Context, ds *Dataset, n int, opts TreeOptions, rng *rand.Rand) (*Bagging, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ml: bagging size %d must be positive", n)
 	}
@@ -59,7 +49,6 @@ func TrainBaggingObs(o *obs.Context, ds *Dataset, n int, opts TreeOptions, rng *
 		}
 		b.Trees = append(b.Trees, t)
 	}
-	observeEnsemble(o, b, ds, n)
 	return b, nil
 }
 
@@ -83,49 +72,29 @@ func TrainBaggingStreams(o *obs.Context, ds *Dataset, n int, opts TreeOptions, s
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
-	if workers <= 0 || workers > n {
+	if workers <= 0 {
 		workers = n
 	}
 	trees := make([]*Tree, n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				r := streams(i)
-				boot := ds.Bootstrap(r)
-				trees[i], errs[i] = TrainTree(boot, opts, r)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err := par.For(n, workers, func(_, i int) error {
+		r := streams(i)
+		var err error
+		trees[i], err = TrainTree(ds.Bootstrap(r), opts, r)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	b := &Bagging{Trees: trees}
-	observeEnsemble(o, b, ds, n)
+	if o.Enabled() {
+		h := o.Metrics().Histogram("ml.tree.nodes")
+		for _, t := range b.Trees {
+			h.Observe(float64(t.Nodes()))
+		}
+		o.Metrics().Counter("ml.trees.trained").Add(int64(n))
+		o.Log().Debug("bagging trained", "trees", n, "samples", ds.Len(), "nodes", b.Nodes())
+	}
 	return b, nil
-}
-
-// observeEnsemble reports the per-tree size metrics and the ensemble log
-// line shared by both training paths.
-func observeEnsemble(o *obs.Context, b *Bagging, ds *Dataset, n int) {
-	if !o.Enabled() {
-		return
-	}
-	h := o.Metrics().Histogram("ml.tree.nodes")
-	for _, t := range b.Trees {
-		h.Observe(float64(t.Nodes()))
-	}
-	o.Metrics().Counter("ml.trees.trained").Add(int64(n))
-	o.Log().Debug("bagging trained", "trees", n, "samples", ds.Len(), "nodes", b.Nodes())
 }
 
 // TrainRandomForest is Bagging with RandomTree base classifiers — Weka's

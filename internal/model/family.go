@@ -11,6 +11,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/pairs"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -65,10 +66,6 @@ type Family interface {
 	// Train fits a scorer using only streams derived from ctx.Rng, so the
 	// result is bit-identical at any worker count.
 	Train(ctx TrainContext, ds *ml.Dataset) (pairs.Scorer, error)
-	// TrainSeq fits a scorer consuming the single shared rng sequentially —
-	// the legacy in-process paths (proximity validation, direct Run) that
-	// predate per-unit streams.
-	TrainSeq(o *obs.Context, opts TrainOptions, ds *ml.Dataset, r *rand.Rand) (pairs.Scorer, error)
 	// Encode serializes a scorer this family trained; Decode inverts it
 	// bit-exactly. Together they are the artifact codec's per-family
 	// payload sections.
@@ -156,15 +153,7 @@ func (baggingFamily) HashOptions(w io.Writer, o TrainOptions) {
 func (baggingFamily) Train(ctx TrainContext, ds *ml.Dataset) (pairs.Scorer, error) {
 	streams := func(tree int) *rand.Rand { return ctx.Rng(int64(tree)) }
 	b, err := ml.TrainBaggingStreams(ctx.Obs, ds, ctx.Opts.NumTrees,
-		ctx.Opts.TreeOptions(), streams, workerCount(ctx.Workers, ctx.Opts.NumTrees))
-	if err != nil {
-		return nil, err
-	}
-	return b.Compile(), nil
-}
-
-func (baggingFamily) TrainSeq(o *obs.Context, opts TrainOptions, ds *ml.Dataset, r *rand.Rand) (pairs.Scorer, error) {
-	b, err := ml.TrainBaggingObs(o, ds, opts.NumTrees, opts.TreeOptions(), r)
+		ctx.Opts.TreeOptions(), streams, par.Workers(ctx.Workers, ctx.Opts.NumTrees))
 	if err != nil {
 		return nil, err
 	}
@@ -208,10 +197,6 @@ func (f mlpFamily) Train(ctx TrainContext, ds *ml.Dataset) (pairs.Scorer, error)
 	return ml.TrainMLP(ds, f.options(ctx.Opts), ctx.Rng())
 }
 
-func (f mlpFamily) TrainSeq(o *obs.Context, opts TrainOptions, ds *ml.Dataset, r *rand.Rand) (pairs.Scorer, error) {
-	return ml.TrainMLP(ds, f.options(opts), r)
-}
-
 func (mlpFamily) Encode(sc pairs.Scorer) ([]byte, error) {
 	nn, ok := sc.(*ml.MLP)
 	if !ok {
@@ -236,10 +221,6 @@ func (logisticFamily) HashOptions(w io.Writer, o TrainOptions) {
 
 func (logisticFamily) Train(ctx TrainContext, ds *ml.Dataset) (pairs.Scorer, error) {
 	return ml.TrainLogistic(ds, ml.LogisticOptions{Features: ctx.Opts.Features}, ctx.Rng())
-}
-
-func (logisticFamily) TrainSeq(o *obs.Context, opts TrainOptions, ds *ml.Dataset, r *rand.Rand) (pairs.Scorer, error) {
-	return ml.TrainLogistic(ds, ml.LogisticOptions{Features: opts.Features}, r)
 }
 
 func (logisticFamily) Encode(sc pairs.Scorer) ([]byte, error) {

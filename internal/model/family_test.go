@@ -55,9 +55,6 @@ func (collidingFamily) HashOptions(w io.Writer, o TrainOptions) {}
 func (collidingFamily) Train(ctx TrainContext, ds *ml.Dataset) (pairs.Scorer, error) {
 	return nil, nil
 }
-func (collidingFamily) TrainSeq(o *obs.Context, opts TrainOptions, ds *ml.Dataset, r *rand.Rand) (pairs.Scorer, error) {
-	return nil, nil
-}
 func (collidingFamily) Encode(sc pairs.Scorer) ([]byte, error) { return nil, nil }
 func (collidingFamily) Decode(data []byte) (pairs.Scorer, error) {
 	return nil, nil

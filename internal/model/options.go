@@ -11,8 +11,6 @@
 package model
 
 import (
-	"runtime"
-
 	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/pairs"
@@ -144,19 +142,4 @@ func (o TrainOptions) FeatureNames() []string {
 		out[i] = features.Name(f)
 	}
 	return out
-}
-
-// workerCount resolves a worker bound for a pool of n units: workers when
-// positive (GOMAXPROCS otherwise), capped at n.
-func workerCount(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
 }

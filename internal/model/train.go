@@ -2,14 +2,13 @@ package model
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/pairs"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -160,31 +159,13 @@ func trainLevel2Scorer(spec Spec, l1 pairs.Scorer) (pairs.Scorer, int, error) {
 	// candidate-scoring fan-out inside each level2Samples call: the nested
 	// pools would otherwise multiply to up to Workers² goroutines competing
 	// for Workers cores.
-	total := workerCount(spec.Workers, 1<<30)
-	outer := total
-	if outer > len(trainInsts) {
-		outer = len(trainInsts)
-	}
-	inner := total / outer
-	if inner < 1 {
-		inner = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < outer; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(trainInsts) {
-					return
-				}
-				perInst[i] = level2Samples(spec, trainInsts[i], l1, inner, i)
-			}
-		}()
-	}
-	wg.Wait()
+	total := par.Workers(spec.Workers, 1<<30)
+	outer := par.Workers(total, len(trainInsts))
+	inner := max(total/outer, 1)
+	par.For(len(trainInsts), outer, func(_, i int) error {
+		perInst[i] = level2Samples(spec, trainInsts[i], l1, inner, i)
+		return nil
+	})
 	ds := &ml.Dataset{}
 	for _, samples := range perInst {
 		for _, s := range samples {

@@ -146,13 +146,13 @@ func TestPerturbationDegradesAttack(t *testing.T) {
 		}
 	}
 	cfg := attack.Imp11()
-	resClean, err := attack.Run(cfg, clean)
+	resClean, err := attack.RunInstances(cfg, attack.NewInstancesWorkers(clean, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgN := attack.Imp11()
 	cfgN.Name = "Imp-11-perturbed"
-	resNoisy, err := attack.Run(cfgN, noisy)
+	resNoisy, err := attack.RunInstances(cfgN, attack.NewInstancesWorkers(noisy, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,13 +268,13 @@ func TestJogTrunksDegradesAttack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resClean, err := attack.Run(attack.Imp11(), clean)
+	resClean, err := attack.RunInstances(attack.Imp11(), attack.NewInstancesWorkers(clean, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := attack.Imp11()
 	cfg.Name = "Imp-11-jogged"
-	resJog, err := attack.Run(cfg, jogged)
+	resJog, err := attack.RunInstances(cfg, attack.NewInstancesWorkers(jogged, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,9 @@
 package pairs
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/features"
 	"repro/internal/ml"
+	"repro/internal/par"
 	"repro/internal/split"
 )
 
@@ -45,34 +42,10 @@ func New(ch *split.Challenge) *Instance {
 // count.
 func NewAll(chs []*split.Challenge, workers int) []*Instance {
 	insts := make([]*Instance, len(chs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(chs) {
-		workers = len(chs)
-	}
-	if workers <= 1 {
-		for i, ch := range chs {
-			insts[i] = New(ch)
-		}
-		return insts
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chs) {
-					return
-				}
-				insts[i] = New(chs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(chs), workers, func(_, i int) error {
+		insts[i] = New(chs[i])
+		return nil
+	})
 	return insts
 }
 

@@ -72,15 +72,25 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSpecBytes bounds a POST /jobs body. A job spec is a few hundred
+// bytes; the bound keeps one request from buffering an arbitrarily large
+// body.
+const maxSpecBytes = 1 << 20
+
 // handleSubmit accepts a JobSpec and enqueues it: 202 with the pending
-// job's status, 400 on an invalid spec, 429 with Retry-After when the
-// queue is full.
+// job's status, 400 on an invalid spec, 413 on a body over maxSpecBytes,
+// 429 with Retry-After when the queue is full.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	var spec JobSpec
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_spec", "decode job spec: %v", err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "invalid_spec", "decode job spec: %v", err)
 		return
 	}
 	job, err := s.Submit(spec)

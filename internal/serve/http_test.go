@@ -185,6 +185,8 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"ML-9"},"bogus":1}`,
 			http.StatusBadRequest, "invalid_spec"}, // unknown fields rejected
 		{"POST", "/jobs", `{"kind":"attack","design":"sb1"}`, http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/jobs", `{"kind":"attack","design":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
+			http.StatusRequestEntityTooLarge, "invalid_spec"}, // body over the 1 MiB bound
 		{"GET", "/jobs/j-999999", "", http.StatusNotFound, "unknown_job"},
 		{"GET", "/jobs/j-999999/result", "", http.StatusNotFound, "unknown_job"},
 		{"DELETE", "/jobs/j-999999", "", http.StatusNotFound, "unknown_job"},

@@ -2,13 +2,10 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/attack"
@@ -203,16 +200,12 @@ func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec,
 		}
 		cfg = s.engineCfg(cfg, spec)
 		s.setStage(job, fmt.Sprintf("sweep %d/%d: %s", i+1, len(spec.Configs), cfg.Name))
-		if sharded {
-			err = s.sweepShardConfig(ctx, spec, cfg, sh, insts, &stats)
-		} else {
-			var cr *SweepConfigResult
-			if cr, err = s.sweepConfig(ctx, spec, cfg, insts); err == nil {
-				res.Configs = append(res.Configs, *cr)
-			}
-		}
+		r, err := s.sweepFolds(ctx, spec, cfg, sh, insts, &stats)
 		if err != nil {
 			return nil, err
+		}
+		if !sharded {
+			res.Configs = append(res.Configs, sweepConfigResult(cfg, r))
 		}
 		prog.Add(1)
 	}
@@ -222,44 +215,35 @@ func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec,
 	return res, nil
 }
 
-// sweepUnit builds the work unit of one sweep fold. Its key is identical to
-// the unit an `experiments -shard` worker builds at the same (tier, scale,
-// seed, config, layer, fold) coordinates, so server jobs and CLI shards can
-// split one sweep through a shared checkpoint directory.
-func sweepUnit(spec JobSpec, cfg attack.Config, fold int, insts []*attack.Instance) (sweep.Unit, bool) {
-	h := cfg.OptionsHash()
-	if h == "" {
-		return sweep.Unit{}, false
-	}
-	return sweep.Unit{
-		Prov:   sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed},
-		Config: cfg.Name,
-		Spec:   h,
-		Layer:  spec.Layer,
-		Fold:   fold,
-		Design: insts[fold].Ch.Design.Name,
-	}, true
-}
+// sweepFolds runs one configuration's leave-one-out sweep through
+// attack.RunFolds, checking for cancellation before each fold. Every
+// fold the shard owns (the zero shard owns all) goes through the sweep
+// unit layer: served from the server's checkpoint when it has a valid
+// partial — the merge path recombining what sharded jobs or CLI shards
+// computed — else computed and saved; folds owned by other shards are
+// skipped. stats accumulates the owned units' outcomes. The Result is
+// bit-identical to attack.RunInstances at any pool size and any mix of
+// loaded and computed folds.
+func (s *Server) sweepFolds(ctx context.Context, spec JobSpec, cfg attack.Config, sh sweep.Shard,
+	insts []*attack.Instance, stats *UnitStats) (*attack.Result, error) {
 
-// sweepShardConfig computes the owned folds of one configuration into the
-// server's checkpoint (normalize guarantees one exists for sharded jobs),
-// accumulating unit statistics.
-func (s *Server) sweepShardConfig(ctx context.Context, spec JobSpec, cfg attack.Config,
-	sh sweep.Shard, insts []*attack.Instance, stats *UnitStats) error {
-
-	for fold := range insts {
-		u, ok := sweepUnit(spec, cfg, fold, insts)
-		if !ok || !sh.Owns(u.Key()) {
-			continue
+	prov := sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed}
+	var mu sync.Mutex
+	return attack.RunFolds(cfg, insts, func(fold, _ int, _ *obs.Span) (*attack.Evaluation, float64, error) {
+		u := sweep.NewUnit(prov, cfg, spec.Layer, 0, fold, insts[fold].Ch.Design.Name)
+		if !sh.Owns(u.Key()) {
+			return nil, 0, nil
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, 0, err
 		}
-		stats.Owned++
-		_, _, outcome, err := sweep.RunUnit(s.o, s.ck, u, cfg, insts)
+		ev, radius, outcome, err := sweep.RunUnit(s.o, s.ck, u, cfg, insts)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		stats.Owned++
 		switch outcome {
 		case sweep.Loaded:
 			stats.Skipped++
@@ -269,72 +253,14 @@ func (s *Server) sweepShardConfig(ctx context.Context, spec JobSpec, cfg attack.
 		default:
 			stats.Done++
 		}
-	}
-	return nil
+		return ev, radius, nil
+	})
 }
 
-// sweepConfig runs one configuration's full leave-one-out sweep, fanning
-// folds across a bounded pool (like attack.RunInstances) and serving each
-// fold from the server's checkpoint when it has one — the merge path
-// recombining partials that sharded jobs or CLI shards computed. Results
-// are bit-identical to attack.RunInstances at any pool size and any mix of
-// loaded and computed folds.
-func (s *Server) sweepConfig(ctx context.Context, spec JobSpec, cfg attack.Config,
-	insts []*attack.Instance) (*SweepConfigResult, error) {
-
-	start := time.Now()
-	r := &attack.Result{
-		Config:     cfg,
-		Evals:      make([]*attack.Evaluation, len(insts)),
-		RadiusNorm: make([]float64, len(insts)),
-	}
-	workers := s.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(insts) {
-		workers = len(insts)
-	}
-	errs := make([]error, len(insts))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				fold := int(next.Add(1)) - 1
-				if fold >= len(insts) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[fold] = err
-					return
-				}
-				r.RadiusNorm[fold] = -1
-				var ev *attack.Evaluation
-				var radius float64
-				var err error
-				if u, ok := sweepUnit(spec, cfg, fold, insts); ok && s.ck != nil {
-					ev, radius, _, err = sweep.RunUnit(s.o, s.ck, u, cfg, insts)
-				} else {
-					ev, radius, err = attack.RunFoldInstances(cfg, insts, fold)
-				}
-				if err != nil {
-					errs[fold] = err
-					continue
-				}
-				r.Evals[fold] = ev
-				r.RadiusNorm[fold] = radius
-			}
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	r.TotalDur = time.Since(start)
-	cr := &SweepConfigResult{
+// sweepConfigResult aggregates one configuration's full leave-one-out
+// sweep: per-design digests and the accuracy-vs-LoC curve.
+func sweepConfigResult(cfg attack.Config, r *attack.Result) SweepConfigResult {
+	cr := SweepConfigResult{
 		Config:      cfg.Name,
 		MeanTrainNS: int64(r.MeanTrainDur()),
 		MeanTestNS:  int64(r.MeanTestDur()),
@@ -350,5 +276,5 @@ func (s *Server) sweepConfig(ctx context.Context, spec JobSpec, cfg attack.Confi
 	for _, pt := range attack.Curve(r.Evals, attack.CurveFractions()) {
 		cr.Curve = append(cr.Curve, CurvePoint{LoCFrac: pt.LoCFrac, Accuracy: pt.Accuracy})
 	}
-	return cr, nil
+	return cr
 }

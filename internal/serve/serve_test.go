@@ -124,7 +124,7 @@ func TestServeBitIdentity(t *testing.T) {
 	}
 	cfg, _ := attack.ConfigByName("ML-9")
 	cfg.Seed = testSeed
-	ev, radius, err := attack.RunTargetInstances(cfg, attack.NewInstances(chs), target)
+	ev, radius, err := attack.RunTargetInstances(cfg, attack.NewInstancesWorkers(chs, 0), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestServeMLPBitIdentity(t *testing.T) {
 	}
 	cfg.Seed = testSeed
 	cfg.MLPEpochs = 3
-	ev, _, err := attack.RunTargetInstances(cfg, attack.NewInstances(chs), target)
+	ev, _, err := attack.RunTargetInstances(cfg, attack.NewInstancesWorkers(chs, 0), target)
 	if err != nil {
 		t.Fatal(err)
 	}

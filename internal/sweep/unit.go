@@ -22,6 +22,9 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/attack"
+	"repro/internal/layout"
 )
 
 // Provenance pins the benchmark suite a unit was computed against. Two
@@ -59,6 +62,27 @@ type Unit struct {
 	// Design is the held-out design's name (redundant with Fold given the
 	// provenance, kept for self-describing checkpoint files).
 	Design string `json:"design"`
+}
+
+// NewUnit builds the work unit of leave-one-out fold `fold` (held-out
+// design `design`) of cfg at a (layer, noise) coordinate of the suite prov
+// pins; an empty tier is the standard tier. It is the one place a
+// configuration becomes unit coordinates, so the experiment suite, its
+// shard planner, and the job server mint the same key for the same fold and
+// can split one sweep through a shared checkpoint directory.
+func NewUnit(prov Provenance, cfg attack.Config, layer int, noise float64, fold int, design string) Unit {
+	if prov.Tier == "" {
+		prov.Tier = layout.TierStandard
+	}
+	return Unit{
+		Prov:   prov,
+		Config: cfg.Name,
+		Spec:   cfg.OptionsHash(),
+		Layer:  layer,
+		Noise:  noise,
+		Fold:   fold,
+		Design: design,
+	}
 }
 
 // Key is the unit's content address: a truncated SHA-256 over a canonical

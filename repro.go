@@ -195,13 +195,19 @@ func JogTrunks(d *Design, splitLayer, maxJogTracks int, frac float64, seed int64
 // RunAttack executes the leave-one-out machine-learning attack on the
 // given challenges (all cut at the same split layer).
 func RunAttack(cfg AttackConfig, chs []*Challenge) (*AttackResult, error) {
-	return attack.Run(cfg, chs)
+	return attack.RunInstances(cfg, attack.NewInstancesWorkers(chs, cfg.Workers))
 }
 
 // RunProximityAttack executes the validation-based proximity attack
-// (§III-H) for every design.
+// (§III-H) for every design, on top of a leave-one-out attack run over the
+// same challenges.
 func RunProximityAttack(cfg AttackConfig, chs []*Challenge) ([]PAOutcome, error) {
-	return attack.RunProximity(cfg, chs)
+	insts := attack.NewInstancesWorkers(chs, cfg.Workers)
+	prior, err := attack.RunInstances(cfg, insts)
+	if err != nil {
+		return nil, err
+	}
+	return attack.RunProximityOnInstances(cfg, insts, prior)
 }
 
 // Curve evaluates the aggregate accuracy-vs-LoC-fraction trade-off of a
