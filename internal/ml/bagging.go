@@ -34,22 +34,9 @@ const DefaultForestSize = 100
 // during training; for the scheduling-independent parallel path used by the
 // attack engine, see TrainBaggingStreams.
 func TrainBagging(ds *Dataset, n int, opts TreeOptions, rng *rand.Rand) (*Bagging, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("ml: bagging size %d must be positive", n)
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	b := &Bagging{Trees: make([]*Tree, 0, n)}
-	for i := 0; i < n; i++ {
-		boot := ds.Bootstrap(rng)
-		t, err := TrainTree(boot, opts, rng)
-		if err != nil {
-			return nil, err
-		}
-		b.Trees = append(b.Trees, t)
-	}
-	return b, nil
+	// One worker runs the trees inline in index order, so handing every
+	// tree the same generator draws from it sequentially.
+	return trainBagging(ds, n, opts, func(int) *rand.Rand { return rng }, 1)
 }
 
 // TrainBaggingStreams trains the n base trees on up to workers goroutines.
@@ -64,28 +51,17 @@ func TrainBagging(ds *Dataset, n int, opts TreeOptions, rng *rand.Rand) (*Baggin
 // goroutines concurrently, and must return an independent generator per
 // index (a pure derivation such as rng.Derive qualifies). workers <= 0
 // selects one goroutine per tree, capped at the tree count. The dataset is
-// only read; it must not be mutated concurrently.
+// only read; it must not be mutated concurrently. It is converted once
+// into presorted columns that every goroutine reads; each goroutine
+// reuses its own induction buffers from tree to tree.
 func TrainBaggingStreams(o *obs.Context, ds *Dataset, n int, opts TreeOptions, streams func(tree int) *rand.Rand, workers int) (*Bagging, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("ml: bagging size %d must be positive", n)
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
 	if workers <= 0 {
 		workers = n
 	}
-	trees := make([]*Tree, n)
-	err := par.For(n, workers, func(_, i int) error {
-		r := streams(i)
-		var err error
-		trees[i], err = TrainTree(ds.Bootstrap(r), opts, r)
-		return err
-	})
+	b, err := trainBagging(ds, n, opts, streams, workers)
 	if err != nil {
 		return nil, err
 	}
-	b := &Bagging{Trees: trees}
 	if o.Enabled() {
 		h := o.Metrics().Histogram("ml.tree.nodes")
 		for _, t := range b.Trees {
@@ -95,6 +71,28 @@ func TrainBaggingStreams(o *obs.Context, ds *Dataset, n int, opts TreeOptions, s
 		o.Log().Debug("bagging trained", "trees", n, "samples", ds.Len(), "nodes", b.Nodes())
 	}
 	return b, nil
+}
+
+func trainBagging(ds *Dataset, n int, opts TreeOptions, streams func(tree int) *rand.Rand, workers int) (*Bagging, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("ml: bagging size %d must be positive", n)
+	}
+	c, err := newColumns(ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	trees := make([]*Tree, n)
+	growers := make([]*grower, par.Workers(workers, n))
+	// No tree can fail once newColumns has accepted the data and options.
+	_ = par.For(n, workers, func(w, i int) error {
+		if growers[w] == nil {
+			growers[w] = newGrower(c)
+		}
+		g, r := growers[w], streams(i)
+		trees[i] = g.train(drawRows(g.sample, len(g.sample), r), r)
+		return nil
+	})
+	return &Bagging{Trees: trees}, nil
 }
 
 // TrainRandomForest is Bagging with RandomTree base classifiers — Weka's

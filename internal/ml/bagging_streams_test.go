@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -104,6 +105,11 @@ func TestTrainBaggingStreamsErrors(t *testing.T) {
 	bad := TreeOptions{Features: []int{99}}
 	if _, err := TrainBaggingStreams(nil, ds, 4, bad, streams, 2); err == nil {
 		t.Error("out-of-range feature index accepted")
+	}
+	for name, bad := range degenerateDatasets() {
+		if _, err := TrainBaggingStreams(nil, bad.ds, 4, TreeOptions{}, streams, 2); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: error %v, want one naming %q", name, err, bad.want)
+		}
 	}
 }
 

@@ -1,8 +1,11 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // Inference benchmarks: pair scoring dominates attack runtime, so the
@@ -172,4 +175,47 @@ func BenchmarkTrainBaggingStreams2(b *testing.B) { benchTrainStreams(b, 2) }
 func BenchmarkTrainBaggingStreams4(b *testing.B) { benchTrainStreams(b, 4) }
 func BenchmarkTrainBaggingStreamsMax(b *testing.B) {
 	benchTrainStreams(b, 0) // one goroutine per tree, capped at 32
+}
+
+// attackShapedTrainSet has the shape of one leave-one-out fold's training
+// set at split layer 6 (21–26 k balanced samples): 24 k rows of the 11
+// attack features, integer-quantized the way DBU distances, wirelengths,
+// areas and congestion counts are, from a few dozen distinct values per
+// column to a few thousand. The 5 k × 2 continuous sets above tie almost
+// never; this one ties heavily, as the attack's samples do.
+func attackShapedTrainSet() *Dataset {
+	ds := attackishData(24000, rand.New(rand.NewSource(4)))
+	scale := [11]float64{400, 400, 800, 400, 400, 800, 300, 50, 50, 10, 10}
+	for _, x := range ds.X {
+		for j := range x {
+			x[j] = math.Round(x[j] * scale[j])
+		}
+	}
+	return ds
+}
+
+// benchTrainAttackShaped trains n trees of kind on attackShapedTrainSet
+// through the attack's training path, on one worker as the leave-one-out
+// benchmark runs it.
+func benchTrainAttackShaped(b *testing.B, kind TreeKind, n int) {
+	ds := attackShapedTrainSet()
+	opts := TreeOptions{Kind: kind}
+	if kind == RandomTree {
+		opts.MinLeaf = 1
+	}
+	streams := func(tree int) *rand.Rand { return rng.Derive(1, int64(tree)) }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainBaggingStreams(nil, ds, n, opts, streams, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTrainBaggingAttackShaped(b *testing.B) {
+	benchTrainAttackShaped(b, REPTree, DefaultBaggingSize)
+}
+
+func BenchmarkTrainRandomForestAttackShaped(b *testing.B) {
+	benchTrainAttackShaped(b, RandomTree, DefaultForestSize)
 }

@@ -8,6 +8,7 @@ package ml
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -39,7 +40,10 @@ func (d *Dataset) Positives() int {
 	return n
 }
 
-// Validate checks the dataset is rectangular and non-empty.
+// Validate checks the dataset is non-empty, rectangular with at least one
+// column, and finite. Tree induction needs all three: a zero-width row has
+// no feature to split on, and a NaN has no place in a sorted column, so a
+// tree grown over one would depend on the sort algorithm.
 func (d *Dataset) Validate() error {
 	if len(d.X) == 0 {
 		return fmt.Errorf("ml: empty dataset")
@@ -48,9 +52,17 @@ func (d *Dataset) Validate() error {
 		return fmt.Errorf("ml: %d rows but %d labels", len(d.X), len(d.Y))
 	}
 	w := len(d.X[0])
+	if w == 0 {
+		return fmt.Errorf("ml: row 0 has width 0, want at least one feature")
+	}
 	for i, row := range d.X {
 		if len(row) != w {
 			return fmt.Errorf("ml: row %d has width %d, want %d", i, len(row), w)
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("ml: row %d column %d is %v, want a finite value", i, j, v)
+			}
 		}
 	}
 	return nil
@@ -71,13 +83,19 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 }
 
 // Bootstrap returns a bootstrap resample of d (sampling with replacement,
-// same size), as used by Bagging.
+// same size), as used by Bagging. It draws exactly the rows Bagging's
+// trainers draw from the same rng.
 func (d *Dataset) Bootstrap(rng *rand.Rand) *Dataset {
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = rng.Intn(d.Len())
+	return d.Subset(drawRows(make([]int, d.Len()), d.Len(), rng))
+}
+
+// drawRows fills rows with uniform draws from [0, n), one rng.Intn(n) per
+// element in order — the bootstrap draw — and returns it.
+func drawRows[T int | int32](rows []T, n int, rng *rand.Rand) []T {
+	for i := range rows {
+		rows[i] = T(rng.Intn(n))
 	}
-	return d.Subset(idx)
+	return rows
 }
 
 // SplitFrac partitions the dataset into two disjoint parts, the first

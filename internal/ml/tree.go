@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // TreeKind selects the base-classifier algorithm.
@@ -90,7 +90,6 @@ type Tree struct {
 	// and releases the pointer nodes, so a trained Tree holds nothing but
 	// the flat slice.
 	root *node
-	opts TreeOptions
 	// flat is the inference-time representation: nodes packed into one
 	// slice in DFS order for cache locality. Pair scoring evaluates
 	// millions of vectors per run, and the flat walk is measurably faster
@@ -141,177 +140,359 @@ func (t *Tree) flatten() {
 // TrainTree induces a tree from ds according to opts. The rng drives the
 // grow/prune split (REPTree) and per-node feature sampling (RandomTree).
 func TrainTree(ds *Dataset, opts TreeOptions, rng *rand.Rand) (*Tree, error) {
+	c, err := newColumns(ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]int32, ds.Len())
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return newGrower(c).train(rows, rng), nil
+}
+
+// columns is one training set in the form tree induction reads it: the
+// presorted attribute lists of SLIQ/SPRINT (Mehta et al., EDBT 1996). It
+// is built once per TrainTree, TrainBagging or TrainBaggingStreams call
+// and shared read-only by every tree of the call and every goroutine
+// training them. Trees address rows by their index in the dataset, so a
+// bootstrap resample is a list of row ids: no tree materialises a
+// resampled dataset or sorts one.
+type columns struct {
+	opts TreeOptions // defaults applied, features and kind validated
+	// x[f][r] is feature f of row r: one contiguous column per feature
+	// opts considers, nil for the others.
+	x [][]float64
+	// order[fp] holds every row id in increasing order of feature
+	// opts.Features[fp], equal values in row-id order.
+	order [][]int32
+	y     []uint8 // y[r] is 1 for a positive row, 0 for a negative one
+	// klnk[k] = k·ln k for every count a node can hold (k <= rows), the
+	// table the split scan's entropy bound reads.
+	klnk []float64
+}
+
+func newColumns(ds *Dataset, opts TreeOptions) (*columns, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults(len(ds.X[0]))
+	width, rows := len(ds.X[0]), ds.Len()
+	opts = opts.withDefaults(width)
 	for _, f := range opts.Features {
-		if f < 0 || f >= len(ds.X[0]) {
+		if f < 0 || f >= width {
 			return nil, fmt.Errorf("ml: feature index %d out of range", f)
 		}
 	}
-
-	t := &Tree{opts: opts}
-	switch opts.Kind {
-	case REPTree:
-		pruneSet, growSet := ds.SplitFrac(opts.PruneFrac, rng)
-		if growSet.Len() == 0 || pruneSet.Len() == 0 {
-			growSet, pruneSet = ds, ds
-		}
-		t.root = newGrower(growSet, opts).grow(rng)
-		t.prune(t.root, pruneSet, allIdx(pruneSet.Len()), make([]int, pruneSet.Len()))
-		t.backfit(ds)
-	case RandomTree:
-		t.root = newGrower(ds, opts).grow(rng)
-	default:
+	if opts.Kind != REPTree && opts.Kind != RandomTree {
 		return nil, fmt.Errorf("ml: unknown tree kind %d", opts.Kind)
 	}
-	t.flatten()
-	return t, nil
-}
-
-func allIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	c := &columns{
+		opts:  opts,
+		x:     make([][]float64, width),
+		order: make([][]int32, len(opts.Features)),
+		y:     make([]uint8, rows),
+		klnk:  make([]float64, rows+1),
 	}
-	return idx
-}
-
-// grower holds the presorted index structure used during tree induction.
-// Rather than re-sorting at every node (O(m·n·log n) per level), each
-// feature's row indices are sorted once; every node owns a contiguous
-// segment [lo, hi) of all per-feature arrays and splits stably partition
-// each array in place — the classic C4.5 presort scheme, O(m·n) per level.
-type grower struct {
-	ds      *Dataset
-	opts    TreeOptions
-	sorted  [][]int32 // one sorted index array per considered feature
-	scratch []int32
-}
-
-func newGrower(ds *Dataset, opts TreeOptions) *grower {
-	g := &grower{
-		ds:      ds,
-		opts:    opts,
-		sorted:  make([][]int32, len(opts.Features)),
-		scratch: make([]int32, ds.Len()),
-	}
-	for fp, f := range opts.Features {
-		idx := make([]int32, ds.Len())
-		for i := range idx {
-			idx[i] = int32(i)
+	for r, pos := range ds.Y {
+		if pos {
+			c.y[r] = 1
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			va, vb := ds.X[idx[a]][f], ds.X[idx[b]][f]
-			if va != vb {
-				return va < vb
+	}
+	for k := range c.klnk {
+		c.klnk[k] = xlogx(k)
+	}
+	type entry struct {
+		v float64
+		r int32
+	}
+	sorted := make([]entry, rows)
+	for fp, f := range opts.Features {
+		if c.x[f] == nil {
+			col := make([]float64, rows)
+			for r, row := range ds.X {
+				col[r] = row[f]
 			}
-			return idx[a] < idx[b]
+			c.x[f] = col
+		}
+		for r, v := range c.x[f] {
+			sorted[r] = entry{v, int32(r)}
+		}
+		slices.SortFunc(sorted, func(a, b entry) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case a.v > b.v:
+				return 1
+			}
+			return int(a.r - b.r)
 		})
-		g.sorted[fp] = idx
+		order := make([]int32, rows)
+		for i, e := range sorted {
+			order[i] = e.r
+		}
+		c.order[fp] = order
+	}
+	return c, nil
+}
+
+// grower is one goroutine's tree-induction state over shared columns. Its
+// buffers are sized to the dataset once and reused by every tree the
+// goroutine trains.
+type grower struct {
+	c *columns
+	// ids[fp][lo:hi] lists the grow-set rows of the node owning segment
+	// [lo, hi) in increasing order of feature opts.Features[fp], a row
+	// once per copy; vals[fp] holds their values alongside, so the split
+	// scan reads both sequentially. Every node owns the same segment of
+	// every feature's arrays, and a split stably partitions each — the
+	// C4.5 presort scheme, O(m·n) per tree level.
+	ids  [][]int32
+	vals [][]float64
+	mult []int32 // each row's multiplicity in the grow set being laid out
+	// goLeft[r] is 1 when row r goes left at the split being applied.
+	goLeft    []uint8
+	spareIDs  []int32 // right-hand staging for the stable partitions
+	spareVals []float64
+	sample    []int32 // the current tree's bootstrap
+	pruneRows []int32 // the current tree's pruning fold
+	featPos   []int
+}
+
+func newGrower(c *columns) *grower {
+	rows, m := len(c.y), len(c.opts.Features)
+	g := &grower{
+		c:         c,
+		ids:       make([][]int32, m),
+		vals:      make([][]float64, m),
+		mult:      make([]int32, rows),
+		goLeft:    make([]uint8, rows),
+		spareIDs:  make([]int32, rows),
+		spareVals: make([]float64, rows),
+		sample:    make([]int32, rows),
+		pruneRows: make([]int32, 0, rows),
+		featPos:   make([]int, m),
+	}
+	ids, vals := make([]int32, m*rows), make([]float64, m*rows)
+	for fp := range g.ids {
+		g.ids[fp] = ids[fp*rows : (fp+1)*rows]
+		g.vals[fp] = vals[fp*rows : (fp+1)*rows]
 	}
 	return g
 }
 
-func (g *grower) grow(rng *rand.Rand) *node {
-	return g.growSeg(0, g.ds.Len(), 0, rng)
+// train induces one tree over rows, a list of row ids in which a row may
+// repeat. It makes the rng calls TrainTree makes on the materialised
+// resample, in the same order: Dataset.SplitFrac's permutation for a
+// REPTree, the per-node feature shuffles for a RandomTree.
+func (g *grower) train(rows []int32, rng *rand.Rand) *Tree {
+	t := &Tree{}
+	switch g.c.opts.Kind {
+	case REPTree:
+		// The permutation's first cut rows form the pruning fold and the
+		// rest the grow set; if either would be empty, both are all rows.
+		perm := rng.Perm(len(rows))
+		cut := int(float64(len(rows)) * g.c.opts.PruneFrac)
+		prune, grow := perm[:cut], perm[cut:]
+		if cut == 0 || cut == len(rows) {
+			prune, grow = perm, perm
+		}
+		pruneRows := g.pruneRows[:0]
+		for _, j := range prune {
+			pruneRows = append(pruneRows, rows[j])
+		}
+		for _, j := range grow {
+			g.mult[rows[j]]++
+		}
+		t.root = g.grow(len(grow), rng)
+		g.prune(t.root, pruneRows, g.spareIDs)
+		g.backfit(t.root, rows)
+	case RandomTree:
+		for _, r := range rows {
+			g.mult[r]++
+		}
+		t.root = g.grow(len(rows), rng)
+	}
+	t.flatten()
+	return t
 }
 
-// growSeg builds the subtree over segment [lo, hi) of the sorted arrays.
-func (g *grower) growSeg(lo, hi, depth int, rng *rand.Rand) *node {
-	total := hi - lo
-	pos := 0
-	for _, i := range g.sorted[0][lo:hi] {
-		if g.ds.Y[i] {
-			pos++
+// grow lays the grow set out — g.mult holds each row's multiplicity, n
+// rows in all — in every feature's presorted order, one pass over each
+// order and no sort, and grows the tree over it. Rows of equal value come out in
+// row-id order rather than in the order they were drawn; that cannot
+// change the tree, because a split choice depends only on the label
+// counts at boundaries between distinct values.
+func (g *grower) grow(n int, rng *rand.Rand) *node {
+	for fp, f := range g.c.opts.Features {
+		col, ids, vals := g.c.x[f], g.ids[fp], g.vals[fp]
+		w := 0
+		for _, r := range g.c.order[fp] {
+			for k := g.mult[r]; k > 0; k-- {
+				ids[w], vals[w] = r, col[r]
+				w++
+			}
 		}
 	}
+	clear(g.mult)
+	return g.growSeg(0, n, 0, rng)
+}
+
+// split is the best threshold a node's scan has found so far.
+type split struct {
+	gain float64
+	fp   int // feature position; -1 while no candidate has passed
+	thr  float64
+	// skip is the value of total·h at or above which a candidate's exact
+	// gain cannot pass gain+1e-12 (see scan).
+	skip float64
+}
+
+// growSeg builds the subtree over segment [lo, hi) of the laid-out arrays.
+func (g *grower) growSeg(lo, hi, depth int, rng *rand.Rand) *node {
+	opts := &g.c.opts
+	total := hi - lo
+	pos := 0
+	for _, r := range g.ids[0][lo:hi] {
+		pos += int(g.c.y[r])
+	}
 	n := &node{pos: pos, neg: total - pos}
-	if pos == 0 || pos == total || total < 2*g.opts.MinLeaf || depth >= g.opts.MaxDepth {
+	if pos == 0 || pos == total || total < 2*opts.MinLeaf || depth >= opts.MaxDepth {
 		return n
 	}
 
-	// Feature positions to consider at this node.
-	featPos := make([]int, len(g.opts.Features))
+	// Feature positions to consider at this node. The scan finishes with
+	// the buffer before the children reuse it.
+	featPos := g.featPos
 	for i := range featPos {
 		featPos[i] = i
 	}
-	if g.opts.Kind == RandomTree && g.opts.RandomK < len(featPos) {
+	if opts.Kind == RandomTree && opts.RandomK < len(featPos) {
 		rng.Shuffle(len(featPos), func(i, j int) { featPos[i], featPos[j] = featPos[j], featPos[i] })
-		featPos = featPos[:g.opts.RandomK]
+		featPos = featPos[:opts.RandomK]
 	}
 
-	bestGain := 0.0
-	bestFP, bestThr := -1, 0.0
 	parentH := entropy2(pos, total-pos)
+	best := split{fp: -1, skip: float64(total) * (parentH + boundSlack)}
 	for _, fp := range featPos {
-		f := g.opts.Features[fp]
-		order := g.sorted[fp][lo:hi]
-		lp, ln := 0, 0
-		for k := 0; k < total-1; k++ {
-			if g.ds.Y[order[k]] {
-				lp++
-			} else {
-				ln++
-			}
-			v, next := g.ds.X[order[k]][f], g.ds.X[order[k+1]][f]
-			if v == next {
-				continue
-			}
-			left := lp + ln
-			right := total - left
-			if left < g.opts.MinLeaf || right < g.opts.MinLeaf {
-				continue
-			}
-			h := (float64(left)*entropy2(lp, ln) +
-				float64(right)*entropy2(pos-lp, (total-pos)-ln)) / float64(total)
-			gain := parentH - h
-			if gain > bestGain+1e-12 {
-				bestGain = gain
-				bestFP = fp
-				bestThr = (v + next) / 2
-			}
-		}
+		g.scan(&best, fp, lo, hi, pos, parentH)
 	}
-	if bestFP < 0 {
+	if best.fp < 0 {
 		return n
 	}
-	bestFeat := g.opts.Features[bestFP]
-
-	// Stable-partition every feature array's segment by the split
-	// predicate, preserving sort order on both sides.
-	goesLeft := func(row int32) bool { return g.ds.X[row][bestFeat] < bestThr }
-	nLeft := 0
-	for _, i := range g.sorted[bestFP][lo:hi] {
-		if goesLeft(i) {
-			nLeft++
-		}
-	}
+	nLeft := g.partition(best, lo, hi)
 	if nLeft == 0 || nLeft == total {
 		return n
 	}
-	for fp := range g.sorted {
-		seg := g.sorted[fp][lo:hi]
-		l, r := 0, 0
-		right := g.scratch[:total-nLeft]
-		for _, i := range seg {
-			if goesLeft(i) {
-				seg[l] = i
-				l++
-			} else {
-				right[r] = i
-				r++
-			}
-		}
-		copy(seg[nLeft:], right)
-	}
-
-	n.feature = bestFeat
-	n.threshold = bestThr
+	n.feature = opts.Features[best.fp]
+	n.threshold = best.thr
 	n.left = g.growSeg(lo, lo+nLeft, depth+1, rng)
 	n.right = g.growSeg(lo+nLeft, hi, depth+1, rng)
 	return n
+}
+
+// boundSlack is the margin the entropy bound leaves above the largest
+// difference between W/total and the exact split entropy; that difference
+// stays below 1e-13 for nodes of up to 1e7 rows (DESIGN.md §16).
+const boundSlack = 1e-9
+
+// scan evaluates every threshold of feature position fp over the node's
+// segment [lo, hi), pos of whose rows are positive, against best. A
+// threshold between distinct values v < next is a candidate when both
+// sides keep MinLeaf rows, and it becomes best when its gain, parentH
+// minus the size-weighted entropy2 of the two sides, exceeds best.gain by
+// more than 1e-12 — in that expression, evaluated in that order.
+//
+// Most candidates are settled without it. W, total times the split
+// entropy, is also Σ±k·ln k over the six counts (see splitW), six lookups
+// in the klnk table. A candidate with W >= best.skip cannot pass: skip
+// puts W/total boundSlack above the entropy that would pass, and W/total
+// is far closer than that to the exact value. best only ever takes exact
+// gains, so the chosen split is the one the exact test alone would pick.
+func (g *grower) scan(best *split, fp, lo, hi, pos int, parentH float64) {
+	y, klnk := g.c.y, g.c.klnk
+	ids, vals := g.ids[fp][lo:hi], g.vals[fp][lo:hi]
+	total, minLeaf := hi-lo, g.c.opts.MinLeaf
+	neg := total - pos
+	lp := 0
+	for _, r := range ids[:minLeaf-1] {
+		lp += int(y[r])
+	}
+	// k is the last row on the left: both sides keep minLeaf rows.
+	for k := minLeaf - 1; k < total-minLeaf; k++ {
+		lp += int(y[ids[k]])
+		v, next := vals[k], vals[k+1]
+		if v == next {
+			continue
+		}
+		left := k + 1
+		ln := left - lp
+		if splitW(klnk[left], klnk[total-left], klnk[lp], klnk[ln], klnk[pos-lp], klnk[neg-ln]) >= best.skip {
+			continue
+		}
+		h := (float64(left)*entropy2(lp, ln) +
+			float64(total-left)*entropy2(pos-lp, neg-ln)) / float64(total)
+		if gain := parentH - h; gain > best.gain+1e-12 {
+			best.gain, best.fp, best.thr = gain, fp, (v+next)/2
+			best.skip = float64(total) * (parentH - gain + boundSlack)
+		}
+	}
+}
+
+// splitW is total·h of a split as Σ±k·ln k, given k·ln k for its six
+// counts — the two side sizes L and R and their class counts — since
+// L·entropy2(lp, ln) = L·ln L − lp·ln lp − ln·ln ln, and likewise for R.
+func splitW(kL, kR, kLP, kLN, kRP, kRN float64) float64 {
+	return kL + kR - kLP - kLN - kRP - kRN
+}
+
+// xlogx returns k·ln k, 0 at k = 0.
+func xlogx(k int) float64 {
+	if k == 0 {
+		return 0
+	}
+	return float64(k) * math.Log(float64(k))
+}
+
+// partition applies best to the node's segment [lo, hi) of every feature's
+// arrays, stably, and returns the number of rows going left; it moves
+// nothing when either side would be empty. The best feature's rows are
+// sorted, so its left rows already form a prefix; a per-row flag carries
+// the side to the other features, one sequential pass each.
+func (g *grower) partition(best split, lo, hi int) int {
+	nLeft := 0
+	vals := g.vals[best.fp][lo:hi]
+	for k, r := range g.ids[best.fp][lo:hi] {
+		var left uint8
+		if vals[k] < best.thr {
+			left = 1
+		}
+		g.goLeft[r] = left
+		nLeft += int(left)
+	}
+	if nLeft == 0 || nLeft == hi-lo {
+		return nLeft
+	}
+	for fp := range g.ids {
+		if fp == best.fp {
+			continue
+		}
+		ids, vals := g.ids[fp][lo:hi], g.vals[fp][lo:hi]
+		spareIDs, spareVals := g.spareIDs, g.spareVals
+		l, r := 0, 0
+		// Branch-free: every row is written to both sides and only the
+		// cursor of its own side advances. l <= k, so the in-place
+		// writes never overtake the reads.
+		for k, id := range ids {
+			v, left := vals[k], int(g.goLeft[id])
+			ids[l], vals[l] = id, v
+			spareIDs[r], spareVals[r] = id, v
+			l += left
+			r += 1 - left
+		}
+		copy(ids[l:], spareIDs[:r])
+		copy(vals[l:], spareVals[:r])
+	}
+	return nLeft
 }
 
 // prune performs reduced-error pruning: a subtree is collapsed to a leaf
@@ -321,42 +502,38 @@ func (g *grower) growSeg(lo, hi, depth int, rng *rand.Rand) *node {
 // splits exceed it easily. It returns the subtree's error count on the
 // fold.
 //
-// Each node stably partitions its idx segment in place — left rows
-// compact to the front, right rows stage through scratch — mirroring the
-// grower's presort scheme, so the whole pruning pass reuses the two
-// buffers the caller allocated instead of two fresh slices per node.
-// scratch must be at least len(idx) long and is only used between the
-// partition and the recursive calls, so one buffer serves every level.
-func (t *Tree) prune(n *node, prune *Dataset, idx, scratch []int) int {
+// rows is the fold's part that reaches n. Each node stably partitions it
+// in place — left rows compact to the front, right rows stage through
+// spare, which must be at least len(rows) long — so the whole pass reuses
+// the grower's buffers.
+func (g *grower) prune(n *node, rows, spare []int32) int {
 	pos := 0
-	for _, i := range idx {
-		if prune.Y[i] {
-			pos++
-		}
+	for _, r := range rows {
+		pos += int(g.c.y[r])
 	}
 	// Errors if this node were a leaf predicting its training majority.
 	leafErr := pos
 	if n.pos > n.neg {
-		leafErr = len(idx) - pos
+		leafErr = len(rows) - pos
 	}
 	if n.isLeaf() {
 		return leafErr
 	}
 
+	col := g.c.x[n.feature]
 	nLeft, nRight := 0, 0
-	for _, i := range idx {
-		if prune.X[i][n.feature] < n.threshold {
-			idx[nLeft] = i
+	for _, r := range rows {
+		if col[r] < n.threshold {
+			rows[nLeft] = r
 			nLeft++
 		} else {
-			scratch[nRight] = i
+			spare[nRight] = r
 			nRight++
 		}
 	}
-	copy(idx[nLeft:], scratch[:nRight])
-	subErr := t.prune(n.left, prune, idx[:nLeft], scratch) +
-		t.prune(n.right, prune, idx[nLeft:], scratch)
-	margin := 0.5 * math.Sqrt(float64(len(idx))+1)
+	copy(rows[nLeft:], spare[:nRight])
+	subErr := g.prune(n.left, rows[:nLeft], spare) + g.prune(n.right, rows[nLeft:], spare)
+	margin := 0.5 * math.Sqrt(float64(len(rows))+1)
 	if float64(leafErr) <= float64(subErr)+margin {
 		n.left, n.right = nil, nil
 		return leafErr
@@ -364,21 +541,21 @@ func (t *Tree) prune(n *node, prune *Dataset, idx, scratch []int) int {
 	return subErr
 }
 
-// backfit replaces all leaf class counts with counts from the full training
-// set, so inference probabilities reflect all available data rather than
-// only the grow fold.
-func (t *Tree) backfit(ds *Dataset) {
-	clearCounts(t.root)
-	for i := range ds.X {
-		n := t.root
+// backfit replaces all leaf class counts with counts over rows, the
+// tree's full training sample, so inference probabilities reflect all
+// available data rather than only the grow fold.
+func (g *grower) backfit(root *node, rows []int32) {
+	clearCounts(root)
+	for _, r := range rows {
+		n := root
 		for !n.isLeaf() {
-			if ds.X[i][n.feature] < n.threshold {
+			if g.c.x[n.feature][r] < n.threshold {
 				n = n.left
 			} else {
 				n = n.right
 			}
 		}
-		if ds.Y[i] {
+		if g.c.y[r] == 1 {
 			n.pos++
 		} else {
 			n.neg++

@@ -1,7 +1,9 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +148,33 @@ func TestTrainTreeRejectsBadInput(t *testing.T) {
 	}
 	if _, err := TrainTree(ds, TreeOptions{Kind: TreeKind(9)}, rng); err == nil {
 		t.Error("unknown tree kind accepted")
+	}
+	for name, bad := range degenerateDatasets() {
+		if _, err := TrainTree(bad.ds, TreeOptions{}, rng); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: error %v, want one naming %q", name, err, bad.want)
+		}
+	}
+}
+
+// degenerateDatasets are inputs Dataset.Validate must reject, each with
+// the text its error must carry to name the offending cell.
+func degenerateDatasets() map[string]struct {
+	ds   *Dataset
+	want string
+} {
+	cell := func(v float64) *Dataset {
+		ds := separableData(6, rand.New(rand.NewSource(1)))
+		ds.X[4] = []float64{ds.X[4][0], v}
+		return ds
+	}
+	return map[string]struct {
+		ds   *Dataset
+		want string
+	}{
+		"zero-width rows": {&Dataset{X: [][]float64{{}, {}}, Y: []bool{true, false}}, "row 0 has width 0"},
+		"NaN":             {cell(math.NaN()), "row 4 column 1"},
+		"+Inf":            {cell(math.Inf(1)), "row 4 column 1"},
+		"-Inf":            {cell(math.Inf(-1)), "row 4 column 1"},
 	}
 }
 
