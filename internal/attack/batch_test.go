@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/features"
 	"repro/internal/model"
 	"repro/internal/pairs"
 )
@@ -29,6 +30,7 @@ func TestBatchScoringMatchesScalar(t *testing.T) {
 		{WithY(Imp9()), 8},
 	}
 	for _, tc := range cases {
+		insts := NewInstancesWorkers(challenges(t, tc.layer), 0)
 		scalar := tc.cfg
 		scalar.Seed = 11
 		scalar.Workers = 1
@@ -61,19 +63,55 @@ func TestBatchScoringMatchesScalar(t *testing.T) {
 				if b.Batches == 0 {
 					t.Fatalf("%s: target %d never used the batch path", label, i)
 				}
+				// Each admitted pair of the fully scored design reaches the
+				// kernel once, so level 1 scores exactly PairsScored/2 rows;
+				// level 2 adds one row per level-1 survivor.
+				want := b.PairsScored / 2
 				if tc.cfg.TwoLevel {
-					// Level-2 batches re-score only the level-1 survivors.
-					if b.BatchRows <= b.PairsScored {
-						t.Fatalf("%s: target %d two-level batch rows %d not above pair count %d",
-							label, i, b.BatchRows, b.PairsScored)
-					}
-				} else if b.BatchRows != b.PairsScored {
-					t.Fatalf("%s: target %d batch rows %d != pairs scored %d",
-						label, i, b.BatchRows, b.PairsScored)
+					want += level2Rows(t, batch, insts, i)
+				}
+				if b.PairsScored%2 != 0 || b.BatchRows != want {
+					t.Fatalf("%s: target %d batch rows %d for %d pairs, want %d",
+						label, i, b.BatchRows, b.PairsScored, want)
 				}
 			}
 		}
 	}
+}
+
+// level2Rows counts the level-2 rows a shared scoring pass over fold's
+// whole target makes under cfg's two-level model: one per admitted
+// unordered pair whose level-1 probability passes the 0.5 gate, judged
+// pair by pair through the scalar Prob.
+func level2Rows(t *testing.T, cfg Config, insts []*Instance, fold int) int64 {
+	t.Helper()
+	spec, radius, err := TrainSpec(cfg, insts, fold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, _, err := model.Train(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, ok := art.Scorer().(*pairs.TwoLevel)
+	if !ok {
+		t.Fatalf("%s: model is %T, not a two-level composition", cfg.Name, art.Scorer())
+	}
+	inst := insts[fold]
+	cfg = cfg.withDefaults()
+	row := make([]float64, features.Width(cfg.Features))
+	var rows int64
+	for a := 0; a < inst.N(); a++ {
+		newPairFilter(inst, cfg, radius).Enumerate(a, func(b int32) {
+			if int(b) > a {
+				inst.Ex.Pair(a, int(b), row)
+				if tl.L1.Prob(row) >= 0.5 {
+					rows++
+				}
+			}
+		})
+	}
+	return rows
 }
 
 // TestBatchProximityMatchesScalar extends the equivalence to the proximity
@@ -140,8 +178,8 @@ func TestMLPFamilyUsesBatchPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Batches == 0 || ev.BatchRows != ev.PairsScored {
-		t.Fatalf("batch counters %d/%d for %d pairs; MLP batch path not engaged",
+	if ev.Batches == 0 || 2*ev.BatchRows != ev.PairsScored {
+		t.Fatalf("batch counters %d/%d for %d pairs; MLP batch path not engaged once per pair",
 			ev.Batches, ev.BatchRows, ev.PairsScored)
 	}
 }
@@ -157,8 +195,8 @@ func TestBatchDefaultPathIsUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Batches == 0 || ev.BatchRows != ev.PairsScored {
-		t.Fatalf("batch counters %d/%d for %d pairs; batch path not engaged",
+	if ev.Batches == 0 || 2*ev.BatchRows != ev.PairsScored {
+		t.Fatalf("batch counters %d/%d for %d pairs; batch path not engaged once per pair",
 			ev.Batches, ev.BatchRows, ev.PairsScored)
 	}
 }

@@ -45,11 +45,15 @@ type Evaluation struct {
 	// Phases breaks the run into its pipeline stages; the training phases
 	// sum to TrainDur and Scoring equals TestDur (up to clock granularity).
 	Phases Phases
-	// PairsScored counts the candidate pairs evaluated by the model.
+	// PairsScored counts the directed admitted candidate pairs of the
+	// scored v-pins: a pair of two scored v-pins counts once per list,
+	// though the model scores it once (pairs.StreamStats.Pairs).
 	PairsScored int64
 	// Batches and BatchRows count the ProbBatch calls of the batched
 	// scoring path and the rows scored through them (level-1 and level-2
-	// batches both counted). Zero on the scalar path.
+	// batches both counted): the kernel work actually done, so a
+	// full-design fold scores PairsScored/2 level-1 rows. Zero on the
+	// scalar path.
 	Batches, BatchRows int64
 	// Regions is the number of spatial shards the scoring stage streamed
 	// the targets through, and Retained the total candidates kept across
@@ -87,16 +91,16 @@ func scoreTarget(model Scorer, inst *Instance, cfg Config, radiusNorm float64) *
 // only held-out v-pins.
 //
 // Scoring rides pairs.ScoreLists, the shared region-streamed engine: the
-// targets are sharded by spatial region of the v-pin index, each worker
-// streams one region at a time through its reusable Gatherer arena and
-// TopK heap, and the backend pairs.ResolveBackendObs picked — the batched
-// flat-arena engine when the model supports it, the per-row scalar oracle
-// otherwise (or under cfg.ScalarScoring), wrapped in the list-wise ranking
-// head when cfg.Ranking — scores each arena. Retention is
-// order-free, so the Evaluation is bit-identical at any worker count and
-// any shard size; TruthP is filled from the Visit hook before retention,
-// so the true pair's probability survives even when the truth falls
-// outside the retained bound.
+// targets are sharded by spatial region of the v-pin index, each admitted
+// pair of two targets is scored once and retained into both lists, and the
+// backend pairs.ResolveBackendObs picked — the batched flat-arena engine
+// when the model supports it, the per-row scalar oracle otherwise (or
+// under cfg.ScalarScoring), wrapped in the list-wise ranking head when
+// cfg.Ranking — scores each gathered arena. Retention is order-free, so the
+// Evaluation is bit-identical at any worker count and any shard size.
+// TruthP comes from ScoreLists, which takes it when the true pair is
+// scored, so it survives even when the truth falls outside the retained
+// bound.
 func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, subset []int) *Evaluation {
 	start := time.Now()
 	n := inst.N()
@@ -108,11 +112,9 @@ func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, s
 		SplitLayer: inst.Ch.SplitLayer,
 		N:          n,
 		Subset:     subset,
-		TruthP:     make([]float32, n),
 		Truth:      make([]int32, n),
 	}
 	for a := 0; a < n; a++ {
-		ev.TruthP[a] = -1
 		ev.Truth[a] = int32(inst.Match(a))
 	}
 
@@ -126,17 +128,9 @@ func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, s
 		ShardVpins: cfg.ShardVpins,
 		Workers:    cfg.Workers,
 		Stride:     features.Width(cfg.Features),
-		Visit: func(a int, g *pairs.Gatherer) {
-			m := inst.Match(a)
-			for k, b32 := range g.Ids {
-				if int(b32) == m {
-					ev.TruthP[a] = float32(g.P[k])
-					return
-				}
-			}
-		},
 	})
 	ev.Cands = lists
+	ev.TruthP = stats.TruthP
 	ev.PairsScored = stats.Pairs
 	ev.Batches = stats.Batches
 	ev.BatchRows = stats.BatchRows

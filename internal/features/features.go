@@ -194,7 +194,13 @@ func (e *Extractor) Legal(a, b int) bool {
 // length NumFeatures, or NumAll when a configuration selects routing-hint
 // indices (the extra block is only computed when out reaches into it, so
 // 11-wide rows cost exactly what they always did). All features are
-// symmetric: Pair(a, b) equals Pair(b, a).
+// symmetric, bit for bit: Pair(a, b) equals Pair(b, a) in every
+// math.Float64bits, which lets the scorer score a pair once for both of
+// its v-pins. Differences enter through absolute values, and sums either
+// have two terms (commutative in floating point) or add terms that are
+// themselves symmetric. The four-term TotalArea sum is order-independent
+// only because split gives each v-pin at most one non-zero of InArea and
+// OutArea, so at most two of its terms are non-zero.
 func (e *Extractor) Pair(a, b int, out []float64) {
 	out[DiffPinX] = abs(e.px[a] - e.px[b])
 	out[DiffPinY] = abs(e.py[a] - e.py[b])
@@ -224,7 +230,13 @@ func (e *Extractor) routingPair(a, b int, out []float64) {
 	if l := abs(tx) + abs(ty); l > 0 {
 		tx, ty = tx/l, ty/l
 	}
-	out[RoutingDirAlign] = (e.ux[a]-e.ux[b])*tx + (e.uy[a]-e.uy[b])*ty
+	align := (e.ux[a]-e.ux[b])*tx + (e.uy[a]-e.uy[b])*ty
+	if align == 0 {
+		// An exact zero's sign follows the orientation of t, so it is
+		// normalised to +0 to keep the row bit-symmetric.
+		align = 0
+	}
+	out[RoutingDirAlign] = align
 }
 
 // VpinDist returns the ManhattanVpin distance of the pair, used for

@@ -1,6 +1,9 @@
 package pairs
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Candidate is one scored entry of a v-pin's candidate list.
 type Candidate struct {
@@ -42,17 +45,19 @@ func LoCCap(n int, maxLoCFrac float64) int {
 	return capPer
 }
 
-// TopK is a bounded heap keeping the Cap first candidates of the canonical
-// CompareCandidates order. The heap root is the worst retained candidate
-// under that total order (lowest P, ties by largest Other), so the retained
-// set — not just its sorted presentation — equals the first Cap entries of
-// sorting everything, regardless of push order. That makes retention
-// independent of the enumeration order, which is what allows candidate
-// streaming to shard targets by spatial region freely.
+// TopK keeps the Cap first candidates of the canonical CompareCandidates
+// order. It appends until full; the first push that finds it full turns it,
+// once, into a max-heap on rankKey whose root is the worst retained
+// candidate (lowest P, ties by largest Other). The retained set — not just
+// its sorted presentation — therefore equals the first Cap entries of
+// sorting everything, regardless of push order. A TopK that never
+// overflows does no heap work at all. ScoreLists keeps one per target over
+// a window of its shared arena.
 type TopK struct {
 	// Cap bounds the retained candidates and must be positive.
-	Cap int
-	c   []Candidate
+	Cap  int
+	c    []Candidate
+	heap bool // c is heap-ordered
 }
 
 // Reset empties the heap and sets its capacity, keeping the backing array
@@ -61,6 +66,7 @@ type TopK struct {
 func (h *TopK) Reset(capacity int) {
 	h.Cap = capacity
 	h.c = h.c[:0]
+	h.heap = false
 }
 
 // Len returns the number of retained candidates.
@@ -71,55 +77,70 @@ func (h *TopK) Len() int { return len(h.c) }
 func (h *TopK) Push(cand Candidate) {
 	if len(h.c) < h.Cap {
 		h.c = append(h.c, cand)
-		h.up(len(h.c) - 1)
 		return
 	}
-	if CompareCandidates(cand, h.c[0]) >= 0 {
-		return // ranks at or after the current worst: not retained
+	if !h.heap {
+		for i := len(h.c)/2 - 1; i >= 0; i-- {
+			siftDown(h.c, i)
+		}
+		h.heap = true
 	}
-	h.c[0] = cand
-	h.down(0)
+	if rankKey(cand) < rankKey(h.c[0]) {
+		h.c[0] = cand
+		siftDown(h.c, 0)
+	}
 }
 
 // Sorted destroys the heap order and returns the retained candidates in
 // canonical CompareCandidates order. The returned slice aliases the heap's
 // backing array: it is valid until the next Push or Reset, so callers that
-// keep lists must copy them out (the streaming scorer packs them into a
-// per-region arena).
+// keep lists must copy them out.
 func (h *TopK) Sorted() []Candidate {
 	slices.SortFunc(h.c, CompareCandidates)
+	h.heap = false
 	return h.c
 }
 
-// The heap invariant is "parent ranks no earlier than child" under
-// CompareCandidates, keeping the canonically-last element at the root.
-
-func (h *TopK) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if CompareCandidates(h.c[i], h.c[p]) <= 0 {
-			break
-		}
-		h.c[p], h.c[i] = h.c[i], h.c[p]
-		i = p
-	}
-}
-
-func (h *TopK) down(i int) {
-	n := len(h.c)
+// siftDown restores the max-heap on rankKey below h[i].
+func siftDown(h []Candidate, i int) {
+	ki := rankKey(h[i])
 	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < n && CompareCandidates(h.c[l], h.c[worst]) > 0 {
-			worst = l
-		}
-		if r < n && CompareCandidates(h.c[r], h.c[worst]) > 0 {
-			worst = r
-		}
-		if worst == i {
+		c := 2*i + 1
+		if c >= len(h) {
 			return
 		}
-		h.c[i], h.c[worst] = h.c[worst], h.c[i]
-		i = worst
+		kc := rankKey(h[c])
+		if r := c + 1; r < len(h) {
+			if kr := rankKey(h[r]); kr > kc {
+				c, kc = r, kr
+			}
+		}
+		if kc <= ki {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
+
+// rankKey packs a candidate's place in the canonical order into one
+// integer: ascending rankKey is CompareCandidates order. The high word is P
+// mapped to an unsigned integer that falls as P rises (−0 folded to +0
+// first, since the order treats them as equal); the low word is Other,
+// which breaks P ties by ascending partner.
+func rankKey(c Candidate) uint64 {
+	b := math.Float32bits(c.P)
+	if b == 1<<31 {
+		b = 0
+	}
+	return uint64(flipP(b))<<32 | uint64(uint32(c.Other))
+}
+
+// rankP recovers P from a rank key (a −0 comes back as +0).
+func rankP(k uint64) float32 { return math.Float32frombits(flipP(uint32(k >> 32))) }
+
+// flipP maps float32 bits to an unsigned integer that falls as the float
+// rises: a non-negative float's magnitude bits are inverted, a negative
+// float's bits (sign set, growing with magnitude) are kept. It is its own
+// inverse.
+func flipP(b uint32) uint32 { return b ^ ^uint32(int32(b)>>31)>>1 }

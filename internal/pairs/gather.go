@@ -12,9 +12,9 @@ import (
 // scoring allocate nothing. A Gatherer is not safe for concurrent use; use
 // one per worker.
 type Gatherer struct {
-	// Ids[k] is the k-th admitted candidate of the current v-pin, in the
-	// canonical enumeration order — the same order the scalar oracle scores
-	// in, which is what keeps heap tie-breaking identical across backends.
+	// Ids[k] is the k-th gathered candidate of the current v-pin, in the
+	// canonical enumeration order; both backends score the rows in this
+	// order.
 	Ids []int32
 	// D[k] is the ManhattanVpin distance of candidate k.
 	D []float32
@@ -50,7 +50,12 @@ func (g *Gatherer) rowStride() int {
 // Gather collects v-pin a's admitted candidates under the filter: ids,
 // distances, and the feature matrix, in the canonical enumeration order.
 // Previously gathered state is discarded.
-func (g *Gatherer) Gather(f Filter, a int) {
+func (g *Gatherer) Gather(f Filter, a int) { g.gather(f, a, nil) }
+
+// gather is Gather restricted to the pairs a owns: it skips every
+// candidate b < a that shared marks, since b's own gather scores the pair
+// (see ScoreLists). A nil shared keeps every candidate.
+func (g *Gatherer) gather(f Filter, a int, shared []bool) {
 	stride := g.rowStride()
 	inst := f.inst
 	g.Ids = g.Ids[:0]
@@ -58,6 +63,9 @@ func (g *Gatherer) Gather(f Filter, a int) {
 	g.rows = g.rows[:0]
 	f.Enumerate(a, func(b32 int32) {
 		b := int(b32)
+		if b < a && shared != nil && shared[b] {
+			return
+		}
 		g.Ids = append(g.Ids, b32)
 		g.D = append(g.D, float32(inst.Ex.VpinDist(a, b)))
 		k := len(g.rows)
@@ -68,6 +76,15 @@ func (g *Gatherer) Gather(f Filter, a int) {
 		}
 		inst.Ex.Pair(a, b, g.rows[k:k+stride])
 	})
+}
+
+// reserve sizes the buffers for n candidates at once, so gathering and
+// scoring up to n candidates allocates nothing.
+func (g *Gatherer) reserve(n int) {
+	g.Ids = make([]int32, 0, n)
+	g.D = make([]float32, 0, n)
+	g.rows = make([]float64, 0, n*g.rowStride())
+	g.P = make([]float64, 0, n)
 }
 
 // Score runs the gathered candidates through the backend, filling P with
@@ -90,6 +107,10 @@ func (g *Gatherer) Score(b Backend) {
 // one runs is a pure performance choice. Construct through ResolveBackend.
 type Backend interface {
 	score(g *Gatherer)
+	// pairwise reports whether a candidate's probability depends on its
+	// feature row alone, so that ScoreLists may score a pair of two
+	// targets once for both lists.
+	pairwise() bool
 }
 
 // ResolveBackend resolves a trained model into its scoring backend. Models
@@ -148,6 +169,8 @@ type scalarBackend struct {
 	model Scorer
 }
 
+func (s *scalarBackend) pairwise() bool { return true }
+
 func (s *scalarBackend) score(g *Gatherer) {
 	stride := g.rowStride()
 	for k := range g.Ids {
@@ -166,6 +189,8 @@ type batchBackend struct {
 	b1 BatchScorer
 	b2 BatchScorer
 }
+
+func (eng *batchBackend) pairwise() bool { return true }
 
 func (eng *batchBackend) score(g *Gatherer) {
 	stride := g.rowStride()
@@ -187,7 +212,7 @@ func (eng *batchBackend) score(g *Gatherer) {
 		surv++
 	}
 	if cap(g.p2) < surv {
-		g.p2 = make([]float64, surv)
+		g.p2 = make([]float64, surv, cap(g.P))
 	}
 	g.p2 = g.p2[:surv]
 	if surv > 0 {

@@ -74,42 +74,34 @@ func (ix *vpinIndex) tileOf(x, y float64) (int, int) {
 	return tx, ty
 }
 
-// regions partitions the target v-pins into spatially-contiguous shards of
-// at most size entries each, walking the grid tiles in row-major order (the
-// same deterministic order candidates uses). A nil targets selects every
-// v-pin. Workers streaming one region at a time touch neighboring v-pins
-// together — their candidate tiles overlap, so the extractor's and index's
-// cache lines stay hot — and the retained lists are independent of which
-// worker processes which region (TopK retention is order-free).
-func (ix *vpinIndex) regions(targets []int, size int) [][]int32 {
-	if size < 1 {
-		size = 1
-	}
-	var member []bool
-	total := ix.n
-	if targets != nil {
-		member = make([]bool, ix.n)
-		for _, a := range targets {
-			member[a] = true
+// regions partitions the v-pins member marks into spatially-contiguous
+// shards of at most size entries each, walking the grid tiles in row-major
+// order (the same deterministic order candidates uses). Workers taking one
+// region at a time touch neighboring v-pins together — their candidate
+// tiles overlap, so the extractor's and index's cache lines stay hot — and
+// the retained lists are independent of which worker processes which
+// region (retention is order-free). The shards share one backing array, so
+// the partition costs two allocations however many regions it holds.
+func (ix *vpinIndex) regions(member []bool, size int) [][]int32 {
+	size = max(size, 1)
+	total := 0
+	for _, m := range member {
+		if m {
+			total++
 		}
-		total = len(targets)
 	}
-	out := make([][]int32, 0, total/size+1)
-	cur := make([]int32, 0, min(size, total))
+	order := make([]int32, 0, total)
 	for ti := range ix.grid {
 		for _, b := range ix.grid[ti] {
-			if member != nil && !member[b] {
-				continue
-			}
-			cur = append(cur, b)
-			if len(cur) >= size {
-				out = append(out, cur)
-				cur = make([]int32, 0, size)
+			if member[b] {
+				order = append(order, b)
 			}
 		}
 	}
-	if len(cur) > 0 {
-		out = append(out, cur)
+	out := make([][]int32, 0, (total+size-1)/size)
+	for lo := 0; lo < total; lo += size {
+		hi := min(lo+size, total)
+		out = append(out, order[lo:hi:hi])
 	}
 	return out
 }

@@ -129,8 +129,9 @@ func TestVpinIndexTopLayerYBuckets(t *testing.T) {
 // order from the raw challenge: tile buckets in v-pin insertion order
 // walked row-major (or the exact-y bucket under the Y limit), with the
 // legality check applied on top. The pipeline's Enumerate must reproduce
-// it exactly — heap tie-breaking downstream depends on this order, so a
-// silent reordering would change attack output.
+// it exactly: training's reservoir sampling draws negatives in this order,
+// so a silent reordering would change every trained model and attack
+// output. Retention does not depend on it (it is order-free).
 func referenceEnumeration(ch *split.Challenge, a int, radius float64, yLimit bool) []int32 {
 	die := ch.Design.Die()
 	legal := func(b int) bool { return split.LegalPair(&ch.VPins[a], &ch.VPins[b]) }

@@ -27,6 +27,10 @@ type rankedBackend struct {
 	inner Backend
 }
 
+// pairwise is false: a softmax score depends on the whole list, so every
+// v-pin must score its own list.
+func (r *rankedBackend) pairwise() bool { return false }
+
 func (r *rankedBackend) score(g *Gatherer) {
 	r.inner.score(g)
 	// Max-subtraction keeps the exponentials in range; only candidates the

@@ -14,6 +14,7 @@ import (
 type presetBackend struct{ ps []float64 }
 
 func (p *presetBackend) score(g *Gatherer) { copy(g.P, p.ps) }
+func (p *presetBackend) pairwise() bool    { return true }
 
 // constBatchScorer is a batch-capable constant model for resolver tests.
 type constBatchScorer struct{ p float64 }

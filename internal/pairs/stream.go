@@ -1,9 +1,10 @@
 package pairs
 
 import (
-	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // StreamOptions configures one ScoreLists run.
@@ -14,11 +15,10 @@ type StreamOptions struct {
 	// Cap bounds each retained candidate list (see LoCCap and any absolute
 	// cap the caller layers on top). Values below 1 are clamped to 1.
 	Cap int
-	// ShardVpins is the region size: how many v-pins one worker streams
-	// before claiming the next region. Zero picks a size that gives every
-	// worker several regions (for load balance) while keeping regions large
-	// enough that the per-region arena amortises. The retained lists are
-	// bit-identical for every shard size.
+	// ShardVpins is the region size: how many target v-pins a worker takes
+	// at a time. Zero picks a size that gives every worker several regions
+	// for load balance. The retained lists are bit-identical for every
+	// shard size.
 	ShardVpins int
 	// Workers bounds the scoring goroutines; zero or negative selects
 	// GOMAXPROCS. Results are bit-identical at any worker count.
@@ -27,133 +27,213 @@ type StreamOptions struct {
 	// selects features.NumFeatures. Callers whose feature set reaches into
 	// the routing-hint block pass features.Width of their set.
 	Stride int
-	// Visit, when non-nil, observes every scored arena before retention:
-	// it is called once per target v-pin with the gathered ids, distances,
-	// and probabilities. Calls happen concurrently for different v-pins but
-	// never for the same one, so a Visit writing to per-v-pin slots needs no
-	// locking. The Gatherer is reused immediately after Visit returns.
-	Visit func(a int, g *Gatherer)
 }
 
 // StreamStats reports what one ScoreLists run did.
 type StreamStats struct {
-	// Pairs counts the candidate pairs scored through the backend.
+	// Pairs counts the directed admitted pairs (a, b) over every target a:
+	// the sum of the targets' candidate counts. A pair of two targets
+	// counts twice, once per list, although it is scored once.
 	Pairs int64
-	// Batches and BatchRows count ProbBatch calls and their rows (zero on
-	// the scalar path).
+	// Batches and BatchRows count the ProbBatch calls and rows the run made
+	// (zero on the scalar path): the kernel work actually done. With pair
+	// sharing, full-design runs score Pairs/2 level-1 rows.
 	Batches, BatchRows int64
 	// Regions is the number of spatial shards the targets were split into.
 	Regions int
 	// Retained counts the candidates kept across all lists after the cap.
 	Retained int64
+	// TruthP[a] is the probability of target a's true pair (a, Match(a)),
+	// or -1 when a is not a target or its true pair is not admitted. It is
+	// taken when the pair is scored, so it survives a truth the cap cuts
+	// from the list.
+	TruthP []float32
 }
 
-// ScoreLists is the shared candidate-scoring engine: it streams the target
-// v-pins through the filter and backend one spatial region at a time and
+// ScoreLists is the shared candidate-scoring engine: it scores every
+// admitted candidate pair of the target v-pins through the backend and
 // returns the per-v-pin retained candidate lists in canonical
 // CompareCandidates order. Both the attack engine's scoring stage and the
 // two-level training stage ride this one implementation.
 //
-// Memory is bounded by region, not by design: each worker owns one reusable
-// Gatherer arena and one reusable TopK heap, and packs the retained lists of
-// its current region into a single per-region arena (one allocation per
-// region instead of one per v-pin). Retention is order-free — TopK keeps
-// exactly the first Cap entries of the canonical total order no matter the
-// push order — so the returned lists are bit-identical at any worker count
-// and any shard size.
+// Each admitted pair is gathered and scored once. Every feature is
+// symmetric in the pair and Filter admits (a, b) exactly when it admits
+// (b, a), so under a pairwise backend — one whose probability reads the
+// pair's feature row alone — target a scores candidate b only when b is not
+// a target or b > a, and retains the result into both lists. The list-wise
+// Ranked head normalises over a whole list, so there every target scores
+// its own list and keeps it to itself.
+//
+// Memory is one arena that is exactly the returned lists: a counting pass
+// sizes each target's window at min(candidates, Cap) and the lists alias
+// it. Targets are streamed one spatial region at a time on internal/par;
+// a push into another target's window takes that target's lock. Retention
+// is order-free — a window keeps exactly the first Cap entries of the
+// canonical total order whatever the arrival order — so the returned lists
+// are bit-identical at any worker count and any shard size.
 func ScoreLists(f Filter, backend Backend, opts StreamOptions) ([][]Candidate, StreamStats) {
 	inst := f.Instance()
 	n := inst.N()
 	lists := make([][]Candidate, n)
+	s := &stream{
+		f:     f,
+		wins:  make([]TopK, n),
+		locks: make([]sync.Mutex, n),
+		truth: make([]float32, n),
+	}
+	for a := range s.truth {
+		s.truth[a] = -1
+	}
+	stats := StreamStats{TruthP: s.truth}
+	target := make([]bool, n)
 	total := n
-	if opts.Targets != nil {
+	if opts.Targets == nil {
+		for a := range target {
+			target[a] = true
+		}
+	} else {
+		for _, a := range opts.Targets {
+			target[a] = true
+		}
 		total = len(opts.Targets)
 	}
 	if total == 0 {
-		return lists, StreamStats{}
+		return lists, stats
 	}
-	capPer := opts.Cap
-	if capPer < 1 {
-		capPer = 1
+	workers := par.Workers(opts.Workers, total)
+	regions := inst.ix.regions(target, shardSize(opts.ShardVpins, total, workers))
+	stats.Regions = len(regions)
+
+	// Counting pass: every target's admitted candidate count.
+	deg := make([]int32, n)
+	par.For(len(regions), workers, func(_, r int) error {
+		for _, a := range regions[r] {
+			var d int32
+			f.Enumerate(int(a), func(int32) { d++ })
+			deg[a] = d
+		}
+		return nil
+	})
+	capPer := max(opts.Cap, 1)
+	var size, maxDeg int
+	for _, reg := range regions {
+		for _, a := range reg {
+			size += min(int(deg[a]), capPer)
+			maxDeg = max(maxDeg, int(deg[a]))
+			stats.Pairs += int64(deg[a])
+		}
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	arena := make([]Candidate, size)
+	off := 0
+	for _, reg := range regions {
+		for _, a := range reg {
+			w := min(int(deg[a]), capPer)
+			s.wins[a] = TopK{Cap: w, c: arena[off : off : off+w]}
+			off += w
+		}
 	}
-	if workers > total {
-		workers = total
+	stats.Retained = int64(size)
+
+	shared := target
+	if !backend.pairwise() {
+		shared = nil
 	}
-	regions := inst.ix.regions(opts.Targets, shardSize(opts.ShardVpins, total, workers))
-	stats := StreamStats{Regions: len(regions)}
-	if workers > len(regions) {
-		workers = len(regions)
+	gs := make([]Gatherer, par.Workers(workers, len(regions)))
+	for w := range gs {
+		gs[w].Stride = opts.Stride
+		gs[w].reserve(maxDeg)
+	}
+	par.For(len(regions), workers, func(w, r int) error {
+		for _, a := range regions[r] {
+			s.score(&gs[w], backend, int(a), shared)
+		}
+		return nil
+	})
+	for w := range gs {
+		stats.Batches += gs[w].Batches
+		stats.BatchRows += gs[w].BatchRows
 	}
 
-	var nextRegion atomic.Int64
-	var pairs, batches, batchRows, retained int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g := Gatherer{Stride: opts.Stride}
-			var h TopK
-			var scored, kept int64
-			// spans defers list fix-up to the end of the region: the arena
-			// may reallocate while the region streams, so slices into it are
-			// only taken once its length is final.
-			type span struct{ a, lo, hi int }
-			var spans []span
-			arenaHint := 0
-			for {
-				ri := int(nextRegion.Add(1)) - 1
-				if ri >= len(regions) {
-					break
-				}
-				arena := make([]Candidate, 0, arenaHint)
-				spans = spans[:0]
-				for _, a32 := range regions[ri] {
-					a := int(a32)
-					h.Reset(capPer)
-					g.Gather(f, a)
-					g.Score(backend)
-					scored += int64(len(g.Ids))
-					if opts.Visit != nil {
-						opts.Visit(a, &g)
-					}
-					for k, b := range g.Ids {
-						h.Push(Candidate{Other: b, P: float32(g.P[k]), D: g.D[k]})
-					}
-					lo := len(arena)
-					arena = append(arena, h.Sorted()...)
-					spans = append(spans, span{a: a, lo: lo, hi: len(arena)})
-				}
-				for _, sp := range spans {
-					lists[sp.a] = arena[sp.lo:sp.hi:sp.hi]
-				}
-				kept += int64(len(arena))
-				if len(arena) > arenaHint {
-					arenaHint = len(arena)
-				}
-			}
-			atomic.AddInt64(&pairs, scored)
-			atomic.AddInt64(&batches, g.Batches)
-			atomic.AddInt64(&batchRows, g.BatchRows)
-			atomic.AddInt64(&retained, kept)
-		}()
+	keys := make([][]uint64, len(gs))
+	for w := range keys {
+		keys[w] = make([]uint64, min(maxDeg, capPer))
 	}
-	wg.Wait()
-	stats.Pairs = pairs
-	stats.Batches = batches
-	stats.BatchRows = batchRows
-	stats.Retained = retained
+	par.For(len(regions), workers, func(w, r int) error {
+		for _, a := range regions[r] {
+			lists[a] = s.sorted(int(a), keys[w])
+		}
+		return nil
+	})
 	return lists, stats
+}
+
+// stream is one ScoreLists run's shared state. wins[a] is target a's
+// window: a TopK over exactly min(candidates, Cap) slots of the arena
+// (none for a target without candidates, which no push reaches), guarded
+// by locks[a]. truth[a] has exactly one writer, the scorer of a's true
+// pair.
+type stream struct {
+	f     Filter
+	wins  []TopK
+	locks []sync.Mutex
+	truth []float32
+}
+
+// score gathers and scores the pairs target a owns and retains each into
+// a's window and, for a shared partner, into the partner's. shared is nil
+// under a list-wise backend.
+func (s *stream) score(g *Gatherer, backend Backend, a int, shared []bool) {
+	g.gather(s.f, a, shared)
+	g.Score(backend)
+	match := s.f.inst.match
+	s.locks[a].Lock()
+	for k, b := range g.Ids {
+		if b == match[a] {
+			s.truth[a] = float32(g.P[k])
+		}
+		s.wins[a].Push(Candidate{Other: b, P: float32(g.P[k]), D: g.D[k]})
+	}
+	s.locks[a].Unlock()
+	if shared == nil {
+		return
+	}
+	for k, b := range g.Ids {
+		if !shared[b] {
+			continue
+		}
+		if match[b] == int32(a) {
+			s.truth[b] = float32(g.P[k])
+		}
+		s.locks[b].Lock()
+		s.wins[b].Push(Candidate{Other: int32(a), P: float32(g.P[k]), D: g.D[k]})
+		s.locks[b].Unlock()
+	}
+}
+
+// sorted returns target a's window in canonical order, through a plain sort
+// of its rank keys in the scratch keys. Each candidate is rebuilt from its
+// key: Other and P are in the key, and D is the pair's distance again.
+func (s *stream) sorted(a int, keys []uint64) []Candidate {
+	l := s.wins[a].c
+	if len(l) != s.wins[a].Cap {
+		panic("pairs: a candidate window missed arrivals; the filter is not symmetric")
+	}
+	keys = keys[:len(l)]
+	for i, c := range l {
+		keys[i] = rankKey(c)
+	}
+	slices.Sort(keys)
+	ex := s.f.inst.Ex
+	for i, k := range keys {
+		b := int32(uint32(k))
+		l[i] = Candidate{Other: b, P: rankP(k), D: float32(ex.VpinDist(a, int(b)))}
+	}
+	return l
 }
 
 // shardSize resolves the region size: the explicit request when positive,
 // otherwise a size giving each worker about four regions — small enough to
-// balance uneven regions across workers, large enough that the per-region
-// arena allocation amortises — clamped to [16, 2048] v-pins.
+// balance uneven regions across workers — clamped to [16, 2048] v-pins.
 func shardSize(requested, total, workers int) int {
 	if requested > 0 {
 		return requested

@@ -77,6 +77,45 @@ func TestTopKMatchesSortEverything(t *testing.T) {
 	}
 }
 
+// TestRankKeyOrder pins the packed key the heap and the final sort compare:
+// ascending rankKey must be CompareCandidates order for every pair of
+// candidates — the two-level gate's -1, both zeros (equal under the
+// order), subnormals, and ties broken by Other — and rankP must give P
+// back, with −0 read back as +0.
+func TestRankKeyOrder(t *testing.T) {
+	ps := []float32{float32(math.Inf(-1)), -2, -1, -0.5, -math.SmallestNonzeroFloat32,
+		float32(math.Copysign(0, -1)), 0, math.SmallestNonzeroFloat32, 0.25, 0.5, 1, 2,
+		float32(math.Inf(1))}
+	var cands []Candidate
+	for _, p := range ps {
+		for _, o := range []int32{0, 1, 7, math.MaxInt32} {
+			cands = append(cands, Candidate{Other: o, P: p})
+		}
+	}
+	sign := func(v int) int { return min(max(v, -1), 1) }
+	for _, x := range cands {
+		for _, y := range cands {
+			kx, ky := rankKey(x), rankKey(y)
+			got := 0
+			if kx < ky {
+				got = -1
+			} else if kx > ky {
+				got = 1
+			}
+			if want := sign(CompareCandidates(x, y)); got != want {
+				t.Fatalf("%+v vs %+v: rank keys order %d, CompareCandidates %d", x, y, got, want)
+			}
+		}
+		want := x.P
+		if want == 0 {
+			want = 0 // −0 reads back as +0
+		}
+		if got := rankP(rankKey(x)); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("rankP(rankKey(%+v)) = %v, want %v", x, got, want)
+		}
+	}
+}
+
 // TestTopKResetReuse checks that a recycled heap carries nothing over from
 // its previous use.
 func TestTopKResetReuse(t *testing.T) {
@@ -247,8 +286,12 @@ func TestRegionsCoverTargets(t *testing.T) {
 	n := inst.N()
 	subset := []int{1, 2, n - 1, n / 3, n / 2}
 	for _, targets := range [][]int{nil, subset} {
+		member := make([]bool, n)
+		for a := range member {
+			member[a] = targets == nil || slices.Contains(targets, a)
+		}
 		for _, size := range []int{1, 7, 64, 100000} {
-			regions := inst.ix.regions(targets, size)
+			regions := inst.ix.regions(member, size)
 			seen := map[int32]int{}
 			for _, reg := range regions {
 				if len(reg) == 0 || len(reg) > size {

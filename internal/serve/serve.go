@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -357,6 +358,16 @@ func (s *Server) runOne(job *Job) {
 	}
 	ch := make(chan outcome, 1)
 	go func() {
+		// A panicking job fails alone: the panic becomes the job's error
+		// and the server keeps serving. Panics on goroutines the job
+		// itself starts are beyond this recover.
+		defer func() {
+			if r := recover(); r != nil {
+				s.o.Log().Error("job panicked", "job", job.ID, "panic", fmt.Sprint(r),
+					"stack", string(debug.Stack()))
+				ch <- outcome{err: fmt.Errorf("job panicked: %v", r)}
+			}
+		}()
 		res, err := s.opts.runner(ctx, s, job)
 		ch <- outcome{res, err}
 	}()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -328,6 +329,41 @@ func TestServeCloseInterruptsRunning(t *testing.T) {
 	}
 	if st := s.Status(job).State; st != StateInterrupted {
 		t.Errorf("job state after Close = %s, want interrupted", st)
+	}
+}
+
+// TestServePanickingJobFails runs a job whose runner panics: it must end
+// failed with the panic in its error and counted in serve.jobs.failed,
+// and the next job on the same single-slot pool must still complete.
+func TestServePanickingJobFails(t *testing.T) {
+	o := obs.New(obs.Options{Command: "serve-test"})
+	panicky := func(ctx context.Context, s *Server, job *Job) (*Result, error) {
+		if job.Spec.Design == "sb1" {
+			panic("runner exploded")
+		}
+		return stubRunner(ctx, s, job)
+	}
+	s := newTestServer(t, Options{Obs: o, Pool: 1, Queue: 4, runner: panicky})
+	bad, err := s.Submit(attackSpec("sb1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, bad, 30*time.Second)
+	st := s.Status(bad)
+	if st.State != StateFailed || !strings.Contains(st.Error, "panic") ||
+		!strings.Contains(st.Error, "runner exploded") {
+		t.Fatalf("panicking job: state %s, error %q; want failed naming the panic", st.State, st.Error)
+	}
+	if got := o.Metrics().Counter("serve.jobs.failed").Value(); got != 1 {
+		t.Errorf("serve.jobs.failed = %d, want 1", got)
+	}
+	good, err := s.Submit(attackSpec("sb5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, good, 30*time.Second)
+	if st := s.Status(good).State; st != StateDone {
+		t.Errorf("job after the panic: state %s, want done", st)
 	}
 }
 
