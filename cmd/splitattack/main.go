@@ -260,9 +260,12 @@ func runAttack(args []string) {
 	fmt.Printf("train %v, test %v\n\n", ev.TrainDur.Round(1e6), ev.TestDur.Round(1e6))
 	if s.app.Obs.Verbose {
 		ph := ev.Phases
-		fmt.Printf("phases: sampling %v, level-1 %v, level-2 %v, scoring %v (%d pairs)\n\n",
+		fmt.Printf("phases: sampling %v, level-1 %v, level-2 %v, scoring %v (%d pairs)\n",
 			ph.Sampling.Round(1e6), ph.Level1.Round(1e6), ph.Level2.Round(1e6),
 			ph.Scoring.Round(1e6), ev.PairsScored)
+		fmt.Printf("scoring ledger: count %v, gather %v, kernel %v, retain %v, sort %v\n\n",
+			ph.Count.Round(1e6), ph.Gather.Round(1e6), ph.Kernel.Round(1e6),
+			ph.Retain.Round(1e6), ph.Sort.Round(1e6))
 	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 2, 2, ' ', 0)
@@ -298,6 +301,11 @@ func runAttack(args []string) {
 			"level1_ns":   int64(ev.Phases.Level1),
 			"level2_ns":   int64(ev.Phases.Level2),
 			"scoring_ns":  int64(ev.Phases.Scoring),
+			"count_ns":    int64(ev.Phases.Count),
+			"gather_ns":   int64(ev.Phases.Gather),
+			"kernel_ns":   int64(ev.Phases.Kernel),
+			"retain_ns":   int64(ev.Phases.Retain),
+			"sort_ns":     int64(ev.Phases.Sort),
 		},
 	}
 

@@ -57,6 +57,7 @@ func RunTargetArtifact(cfg Config, insts []*Instance, target int, art *model.Art
 	scsp := sp.Begin("scoring")
 	ev := scoreTarget(art.Scorer(), insts[target], cfg, radiusNorm)
 	scsp.SetAttr("pairs", ev.PairsScored)
+	ev.Phases.annotate(scsp)
 	scsp.End()
 	sp.SetAttr("test_ns", int64(ev.TestDur))
 	sp.SetAttr("vpins", ev.N)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/features"
+	"repro/internal/obs"
 	"repro/internal/pairs"
 )
 
@@ -76,6 +77,23 @@ type Phases struct {
 	Level2 time.Duration `json:"level2_ns"`
 	// Scoring is candidate scoring of the held-out design (== TestDur).
 	Scoring time.Duration `json:"scoring_ns"`
+	// Count, Gather, Kernel, Retain and Sort are the scoring engine's own
+	// ledger (pairs.Ledger): its time per phase, summed over the scoring
+	// workers, so with several workers they add up to more than Scoring.
+	Count  time.Duration `json:"count_ns"`
+	Gather time.Duration `json:"gather_ns"`
+	Kernel time.Duration `json:"kernel_ns"`
+	Retain time.Duration `json:"retain_ns"`
+	Sort   time.Duration `json:"sort_ns"`
+}
+
+// annotate records the scoring engine's ledger on its scoring span.
+func (p Phases) annotate(sp *obs.Span) {
+	sp.SetAttr("count_ns", int64(p.Count))
+	sp.SetAttr("gather_ns", int64(p.Gather))
+	sp.SetAttr("kernel_ns", int64(p.Kernel))
+	sp.SetAttr("retain_ns", int64(p.Retain))
+	sp.SetAttr("sort_ns", int64(p.Sort))
 }
 
 // scoreTarget evaluates all admitted candidate pairs of the target instance
@@ -137,6 +155,8 @@ func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, s
 	ev.Regions = stats.Regions
 	ev.Retained = stats.Retained
 	ev.TestDur = time.Since(start)
-	ev.Phases.Scoring = ev.TestDur
+	led := stats.Ledger
+	ev.Phases = Phases{Scoring: ev.TestDur, Count: led.Count, Gather: led.Gather,
+		Kernel: led.Kernel, Retain: led.Retain, Sort: led.Sort}
 	return ev
 }

@@ -295,6 +295,7 @@ func runTarget(cfg Config, insts []*Instance, target, worker int, parent *obs.Sp
 		scsp.SetAttr("batches", ev.Batches)
 		scsp.SetAttr("batch_rows", ev.BatchRows)
 	}
+	ev.Phases.annotate(scsp)
 	scsp.End()
 	ev.TrainDur = trainDur
 	ev.Phases.Sampling = stats.Sampling

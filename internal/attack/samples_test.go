@@ -75,10 +75,11 @@ func TestSampleNegativeRespectsFilters(t *testing.T) {
 		vpins[i] = i
 		selected[i] = true
 	}
+	var cands []int32
 	for trial := 0; trial < 100; trial++ {
 		a := rng.Intn(inst.N())
 		m := inst.Match(a)
-		b, ok := model.SampleNegative(filter, vpins, selected, a, m, rng)
+		b, ok := model.SampleNegative(filter, vpins, selected, a, m, rng, &cands)
 		if !ok {
 			continue // legitimately no admitted negative for this v-pin
 		}
@@ -88,6 +89,40 @@ func TestSampleNegativeRespectsFilters(t *testing.T) {
 		if !filter.Admits(a, b) {
 			t.Fatalf("negative sample (%d,%d) violates the filter", a, b)
 		}
+	}
+}
+
+// TestSampleNegativeFallbackAllocFree pins the training path's use of the
+// candidate walk: with rejection sampling bound to fail (its only pool
+// entry is the match), SampleNegative falls back to the reservoir over
+// the Y-limited filter's admitted candidates, and that makes no
+// allocation.
+func TestSampleNegativeFallbackAllocFree(t *testing.T) {
+	inst := pairs.New(challenges(t, 8)[0])
+	filter := newPairFilter(inst, WithY(Imp9()).withDefaults(), NeighborRadiusNorm([]*Instance{inst}, 0.9))
+	selected := make([]bool, inst.N())
+	for i := range selected {
+		selected[i] = true
+	}
+	rng := rand.New(rand.NewSource(4))
+	var cands []int32
+	// The first v-pin whose fallback finds a negative, so the walk has
+	// candidates to visit; it also grows the scratch.
+	a, m := -1, -1
+	for v := 0; v < inst.N() && a < 0; v++ {
+		if w := inst.Match(v); w >= 0 {
+			if _, ok := model.SampleNegative(filter, []int{w}, selected, v, w, rng, &cands); ok {
+				a, m = v, w
+			}
+		}
+	}
+	if a < 0 {
+		t.Fatal("no v-pin of the fixture has a Y-limited negative")
+	}
+	pool := []int{m}
+	sample := func() { model.SampleNegative(filter, pool, selected, a, m, rng, &cands) }
+	if allocs := testing.AllocsPerRun(100, sample); allocs != 0 {
+		t.Errorf("SampleNegative's reservoir fallback allocates %.1f times per call, want 0", allocs)
 	}
 }
 

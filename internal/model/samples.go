@@ -28,6 +28,7 @@ func TrainingSet(o *obs.Context, opts TrainOptions, insts []*pairs.Instance,
 		for _, a := range vpins {
 			selected[a] = true
 		}
+		var cands []int32
 		for _, a := range vpins {
 			m := inst.Match(a)
 			if m < 0 || !selected[m] || !filter.Admits(a, m) {
@@ -38,7 +39,7 @@ func TrainingSet(o *obs.Context, opts TrainOptions, insts []*pairs.Instance,
 			ds.Add(row, true)
 
 			// Matched negative: a random admitted non-matching partner.
-			if b, ok := SampleNegative(filter, vpins, selected, a, m, rng); ok {
+			if b, ok := SampleNegative(filter, vpins, selected, a, m, rng, &cands); ok {
 				neg := make([]float64, width)
 				inst.Ex.Pair(a, b, neg)
 				ds.Add(neg, false)
@@ -58,11 +59,12 @@ func TrainingSet(o *obs.Context, opts TrainOptions, insts []*pairs.Instance,
 // SampleNegative draws a uniform random admitted non-matching partner for
 // a. It first tries cheap rejection sampling; under tight filters (small
 // neighborhoods, Y-limits) where rejection rarely lands, it falls back to
-// reservoir sampling over the filter's admitted candidate stream. vpins
-// lists the candidate pool and selected marks its members; m is a's true
-// match, never returned.
+// reservoir sampling over a's admitted candidates in the filter's
+// canonical order, walked into the caller's scratch cands. vpins lists the
+// candidate pool and selected marks its members; m is a's true match,
+// never returned.
 func SampleNegative(filter pairs.Filter, vpins []int,
-	selected []bool, a, m int, rng *rand.Rand) (int, bool) {
+	selected []bool, a, m int, rng *rand.Rand, cands *[]int32) (int, bool) {
 
 	const tries = 40
 	for t := 0; t < tries; t++ {
@@ -72,17 +74,18 @@ func SampleNegative(filter pairs.Filter, vpins []int,
 		}
 	}
 	// Reservoir over all admitted candidates of a.
+	*cands = filter.AppendAdmitted((*cands)[:0], a)
 	chosen, count := -1, 0
-	filter.Enumerate(a, func(b32 int32) {
+	for _, b32 := range *cands {
 		b := int(b32)
 		if b == m || !selected[b] {
-			return
+			continue
 		}
 		count++
 		if rng.Intn(count) == 0 {
 			chosen = b
 		}
-	})
+	}
 	if chosen < 0 {
 		return 0, false
 	}

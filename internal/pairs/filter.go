@@ -1,5 +1,7 @@
 package pairs
 
+import "sync"
+
 // Filter bundles the candidate-pair admission rules of one attack
 // configuration for one instance: legality, the Imp neighborhood radius,
 // and the DiffVpinY limit. The zero Filter is not meaningful; construct
@@ -39,23 +41,29 @@ func (f Filter) Admits(a, b int) bool {
 	return true
 }
 
-// Enumerate invokes fn for every admitted candidate b of v-pin a, in the
-// pipeline's canonical deterministic order (the index's bucket walk).
-// Enumerate(a, fn) visits exactly the b with Admits(a, b), but uses the
-// spatial index to skip the geometric rejections instead of testing every
-// pair.
-func (f Filter) Enumerate(a int, fn func(b int32)) {
-	f.inst.ix.candidates(a, f.radius, f.yLimit, func(b int32) {
-		if f.inst.Ex.Legal(a, int(b)) {
-			fn(b)
-		}
-	})
+// AppendAdmitted appends every admitted candidate b of v-pin a to dst, in
+// the pipeline's canonical deterministic order, and returns the extended
+// slice: exactly the b with Admits(a, b), found through the spatial index
+// instead of testing every pair. It is the one candidate walk (see
+// vpinIndex.appendAdmitted) behind Enumerate, the scorer's counting pass
+// and gather, and training's negative sampling; a caller that reuses dst
+// across calls walks without allocating once dst has grown.
+func (f Filter) AppendAdmitted(dst []int32, a int) []int32 {
+	return f.inst.ix.appendAdmitted(dst, a, f.radius, f.yLimit)
 }
 
-// EnumerateGeometric invokes fn for every candidate b of v-pin a that
-// passes the geometric pre-filters only (neighborhood, y-limit) — legality
-// is not checked. Reservoir sampling over near-admitted candidates uses
-// this to apply its own interleaved checks.
-func (f Filter) EnumerateGeometric(a int, fn func(b int32)) {
-	f.inst.ix.candidates(a, f.radius, f.yLimit, fn)
+// Enumerate invokes fn for every admitted candidate b of v-pin a, in the
+// canonical order: AppendAdmitted into a pooled buffer, then fn per
+// candidate. fn may call Enumerate again.
+func (f Filter) Enumerate(a int, fn func(b int32)) {
+	buf := enumBufs.Get().(*[]int32)
+	*buf = f.AppendAdmitted((*buf)[:0], a)
+	for _, b := range *buf {
+		fn(b)
+	}
+	enumBufs.Put(buf)
 }
+
+// enumBufs recycles Enumerate's candidate buffers, so a steady stream of
+// calls allocates nothing.
+var enumBufs = sync.Pool{New: func() any { return new([]int32) }}

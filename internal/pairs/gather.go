@@ -1,6 +1,8 @@
 package pairs
 
 import (
+	"slices"
+
 	"repro/internal/features"
 	"repro/internal/obs"
 )
@@ -52,36 +54,34 @@ func (g *Gatherer) rowStride() int {
 // Previously gathered state is discarded.
 func (g *Gatherer) Gather(f Filter, a int) { g.gather(f, a, nil) }
 
-// gather is Gather restricted to the pairs a owns: it skips every
+// gather is Gather restricted to the pairs a owns: it drops every
 // candidate b < a that shared marks, since b's own gather scores the pair
 // (see ScoreLists). A nil shared keeps every candidate.
 func (g *Gatherer) gather(f Filter, a int, shared []bool) {
-	stride := g.rowStride()
-	inst := f.inst
-	g.Ids = g.Ids[:0]
-	g.D = g.D[:0]
-	g.rows = g.rows[:0]
-	f.Enumerate(a, func(b32 int32) {
-		b := int(b32)
-		if b < a && shared != nil && shared[b] {
-			return
+	g.Ids = f.AppendAdmitted(g.Ids[:0], a)
+	if shared != nil {
+		k := 0
+		for _, b := range g.Ids {
+			if int(b) > a || !shared[b] {
+				g.Ids[k] = b
+				k++
+			}
 		}
-		g.Ids = append(g.Ids, b32)
-		g.D = append(g.D, float32(inst.Ex.VpinDist(a, b)))
-		k := len(g.rows)
-		if k+stride <= cap(g.rows) {
-			g.rows = g.rows[:k+stride]
-		} else {
-			g.rows = append(g.rows, make([]float64, stride)...)
-		}
-		inst.Ex.Pair(a, b, g.rows[k:k+stride])
-	})
+		g.Ids = g.Ids[:k]
+	}
+	n, stride, ex := len(g.Ids), g.rowStride(), f.inst.Ex
+	g.D = slices.Grow(g.D[:0], n)[:n]
+	g.rows = slices.Grow(g.rows[:0], n*stride)[:n*stride]
+	for k, b := range g.Ids {
+		g.D[k] = float32(ex.VpinDist(a, int(b)))
+		ex.Pair(a, int(b), g.rows[k*stride:(k+1)*stride])
+	}
 }
 
 // reserve sizes the buffers for n candidates at once, so gathering and
 // scoring up to n candidates allocates nothing.
 func (g *Gatherer) reserve(n int) {
-	g.Ids = make([]int32, 0, n)
+	g.Ids = slices.Grow(g.Ids[:0], n)
 	g.D = make([]float32, 0, n)
 	g.rows = make([]float64, 0, n*g.rowStride())
 	g.P = make([]float64, 0, n)

@@ -10,9 +10,9 @@
 //	Instance   per-(design, split-layer) state: feature extractor, ground
 //	           truth, and the spatial v-pin index.
 //	Filter     the admission rules of one configuration (legality,
-//	           neighborhood radius, DiffVpinY limit); Enumerate walks the
-//	           admitted candidates of a v-pin in the pipeline's canonical
-//	           deterministic order.
+//	           neighborhood radius, DiffVpinY limit); AppendAdmitted walks
+//	           the admitted candidates of a v-pin into a caller's buffer in
+//	           the pipeline's canonical deterministic order.
 //	Gatherer   a reusable arena that collects one v-pin's admitted
 //	           candidates (ids, distances, feature rows) and scores them
 //	           via a Backend — either the batched flat-arena fast path or

@@ -1,7 +1,9 @@
 package pairs
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -50,7 +52,7 @@ func challenges(t testing.TB, layer int) []*split.Challenge {
 func bruteCandidates(inst *Instance, a int, radius float64, yLimit bool) []int {
 	var out []int
 	for b := 0; b < inst.N(); b++ {
-		if b == a {
+		if b == a || !inst.Ex.Legal(a, b) {
 			continue
 		}
 		if yLimit && inst.Ex.DiffVpinYOf(a, b) != 0 {
@@ -67,9 +69,9 @@ func bruteCandidates(inst *Instance, a int, radius float64, yLimit bool) []int {
 
 func indexCandidates(inst *Instance, a int, radius float64, yLimit bool) []int {
 	var out []int
-	inst.ix.candidates(a, radius, yLimit, func(b int32) {
+	for _, b := range inst.ix.appendAdmitted(nil, a, radius, yLimit) {
 		out = append(out, int(b))
-	})
+	}
 	sort.Ints(out)
 	return out
 }
@@ -114,29 +116,59 @@ func TestVpinIndexTopLayerYBuckets(t *testing.T) {
 	inst := New(chs[0])
 	for a := 0; a < inst.N(); a++ {
 		found := false
-		inst.ix.candidates(a, -1, true, func(b int32) {
-			if int(b) == inst.Match(a) {
-				found = true
-			}
-		})
+		for _, b := range inst.ix.appendAdmitted(nil, a, -1, true) {
+			found = found || int(b) == inst.Match(a)
+		}
 		if !found {
 			t.Fatalf("y-limited candidates of %d exclude its true match", a)
 		}
 	}
 }
 
-// referenceEnumeration reimplements the pre-refactor scalar enumeration
-// order from the raw challenge: tile buckets in v-pin insertion order
-// walked row-major (or the exact-y bucket under the Y limit), with the
-// legality check applied on top. The pipeline's Enumerate must reproduce
-// it exactly: training's reservoir sampling draws negatives in this order,
-// so a silent reordering would change every trained model and attack
-// output. Retention does not depend on it (it is order-free).
-func referenceEnumeration(ch *split.Challenge, a int, radius float64, yLimit bool) []int32 {
+// refEnumerator reimplements the pre-refactor scalar enumeration order
+// from the raw challenge: tile buckets in v-pin insertion order walked
+// row-major over the radius's whole bounding square (or the exact-y bucket
+// under the Y limit), with the legality check applied on top. The
+// pipeline's Enumerate must reproduce it exactly: training's reservoir
+// sampling draws negatives in this order, so a silent reordering would
+// change every trained model and attack output. Retention does not depend
+// on it (it is order-free).
+type refEnumerator struct {
+	ch     *split.Challenge
+	tile   float64
+	nx, ny int
+	grid   [][]int32
+}
+
+func newRefEnumerator(ch *split.Challenge) *refEnumerator {
 	die := ch.Design.Die()
+	r := &refEnumerator{ch: ch, tile: float64(die.Width()) / 32}
+	if r.tile <= 0 {
+		r.tile = 1
+	}
+	r.nx = int(float64(die.Width())/r.tile) + 2
+	r.ny = int(float64(die.Height())/r.tile) + 2
+	r.grid = make([][]int32, r.nx*r.ny)
+	for b := range ch.VPins {
+		tx, ty := r.tileOf(r.x(b), r.y(b))
+		r.grid[ty*r.nx+tx] = append(r.grid[ty*r.nx+tx], int32(b))
+	}
+	return r
+}
+
+func (r *refEnumerator) x(i int) float64 { return float64(r.ch.VPins[i].Pos.X) }
+func (r *refEnumerator) y(i int) float64 { return float64(r.ch.VPins[i].Pos.Y) }
+
+func (r *refEnumerator) tileOf(x, y float64) (int, int) {
+	tx, ty := int(x/r.tile), int(y/r.tile)
+	tx = max(0, min(tx, r.nx-1))
+	ty = max(0, min(ty, r.ny-1))
+	return tx, ty
+}
+
+func (r *refEnumerator) enumerate(a int, radius float64, yLimit bool) []int32 {
+	ch := r.ch
 	legal := func(b int) bool { return split.LegalPair(&ch.VPins[a], &ch.VPins[b]) }
-	xs := func(i int) float64 { return float64(ch.VPins[i].Pos.X) }
-	ys := func(i int) float64 { return float64(ch.VPins[i].Pos.Y) }
 	var out []int32
 
 	if yLimit {
@@ -146,7 +178,7 @@ func referenceEnumeration(ch *split.Challenge, a int, radius float64, yLimit boo
 				continue
 			}
 			if radius >= 0 {
-				dx := xs(a) - xs(b)
+				dx := r.x(a) - r.x(b)
 				if dx < 0 {
 					dx = -dx
 				}
@@ -170,36 +202,19 @@ func referenceEnumeration(ch *split.Challenge, a int, radius float64, yLimit boo
 	}
 
 	// Tile buckets in insertion order, walked row-major over the window.
-	tile := float64(die.Width()) / 32
-	if tile <= 0 {
-		tile = 1
-	}
-	nx := int(float64(die.Width())/tile) + 2
-	ny := int(float64(die.Height())/tile) + 2
-	tileOf := func(x, y float64) (int, int) {
-		tx, ty := int(x/tile), int(y/tile)
-		tx = max(0, min(tx, nx-1))
-		ty = max(0, min(ty, ny-1))
-		return tx, ty
-	}
-	grid := make([][]int32, nx*ny)
-	for b := range ch.VPins {
-		tx, ty := tileOf(xs(b), ys(b))
-		grid[ty*nx+tx] = append(grid[ty*nx+tx], int32(b))
-	}
-	tx0, ty0 := tileOf(xs(a)-radius, ys(a)-radius)
-	tx1, ty1 := tileOf(xs(a)+radius, ys(a)+radius)
+	tx0, ty0 := r.tileOf(r.x(a)-radius, r.y(a)-radius)
+	tx1, ty1 := r.tileOf(r.x(a)+radius, r.y(a)+radius)
 	for ty := ty0; ty <= ty1; ty++ {
 		for tx := tx0; tx <= tx1; tx++ {
-			for _, b := range grid[ty*nx+tx] {
+			for _, b := range r.grid[ty*r.nx+tx] {
 				if int(b) == a {
 					continue
 				}
-				dx := xs(a) - xs(int(b))
+				dx := r.x(a) - r.x(int(b))
 				if dx < 0 {
 					dx = -dx
 				}
-				dy := ys(a) - ys(int(b))
+				dy := r.y(a) - r.y(int(b))
 				if dy < 0 {
 					dy = -dy
 				}
@@ -212,31 +227,43 @@ func referenceEnumeration(ch *split.Challenge, a int, radius float64, yLimit boo
 	return out
 }
 
+// TestEnumerationOrderMatchesReference pins the clipped walk to the full
+// square's scan, id for id, for every v-pin of every layer-6 and layer-8
+// fixture design: at no radius, radius 0, half a tile, exact tile
+// multiples and one ulp either side of them (where a point on a tile edge
+// could be clipped away), exact pair distances, the loo-l6 radius (0.31 of
+// the die), half the die and beyond the die diagonal — each with and
+// without the Y limit.
 func TestEnumerationOrderMatchesReference(t *testing.T) {
-	chs := challenges(t, 6)
-	inst := New(chs[4])
-	rng := rand.New(rand.NewSource(2))
-	cases := []struct {
-		radiusNorm float64
-		yLimit     bool
-	}{
-		{-1, false}, {-1, true}, {0.05, false}, {0.05, true}, {0.5, false},
-	}
-	for trial := 0; trial < 25; trial++ {
-		a := rng.Intn(inst.N())
-		for _, tc := range cases {
-			f := inst.Filter(tc.radiusNorm, tc.yLimit)
-			var got []int32
-			f.Enumerate(a, func(b int32) { got = append(got, b) })
-			want := referenceEnumeration(inst.Ch, a, f.radius, tc.yLimit)
-			if len(got) != len(want) {
-				t.Fatalf("v-pin %d radiusNorm %g yLimit=%v: got %d candidates, reference %d",
-					a, tc.radiusNorm, tc.yLimit, len(got), len(want))
+	for _, layer := range []int{6, 8} {
+		for _, ch := range challenges(t, layer) {
+			inst := New(ch)
+			ref := newRefEnumerator(ch)
+			if ref.tile != inst.ix.tile {
+				t.Fatalf("%s: fixture index tile %g, reference %g", ch.Design.Name, inst.ix.tile, ref.tile)
 			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("v-pin %d radiusNorm %g yLimit=%v: order diverges at %d: got %d, reference %d",
-						a, tc.radiusNorm, tc.yLimit, k, got[k], want[k])
+			die := ch.Design.Die()
+			dieW, diag := float64(die.Width()), float64(die.Width()+die.Height())
+			radii := []float64{-1, 0, ref.tile / 2, 0.31 * dieW, 0.5 * dieW, 1.5 * diag}
+			for _, k := range []float64{1, 2, 5} {
+				r := k * ref.tile
+				radii = append(radii, math.Nextafter(r, 0), r, math.Nextafter(r, math.Inf(1)))
+			}
+			// Exact pair distances put points on the diamond's rim.
+			for _, a := range []int{0, inst.N() / 2, inst.N() - 1} {
+				radii = append(radii, inst.Ex.VpinDist(a, (a+7)%inst.N()))
+			}
+			for _, radius := range radii {
+				for _, yLimit := range []bool{false, true} {
+					f := Filter{inst: inst, radius: radius, yLimit: yLimit}
+					for a := 0; a < inst.N(); a++ {
+						var got []int32
+						f.Enumerate(a, func(b int32) { got = append(got, b) })
+						if want := ref.enumerate(a, radius, yLimit); !slices.Equal(got, want) {
+							t.Fatalf("%s layer %d v-pin %d radius %g yLimit=%v: walk gave %d candidates, reference %d, or their order differs",
+								ch.Design.Name, layer, a, radius, yLimit, len(got), len(want))
+						}
+					}
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package pairs
 import (
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/par"
 )
@@ -48,6 +49,26 @@ type StreamStats struct {
 	// taken when the pair is scored, so it survives a truth the cap cuts
 	// from the list.
 	TruthP []float32
+	// Ledger is the run's time per phase, summed over its workers.
+	Ledger Ledger
+}
+
+// Ledger is ScoreLists' own account of where its time went, per phase and
+// summed over the workers, so with several workers it adds up to more than
+// the call's wall time. It is execution-shape data, never part of a
+// result.
+type Ledger struct {
+	// Count is the counting pass: every target's candidate walk.
+	Count time.Duration
+	// Gather is each target's walk again plus its owned pairs' distances
+	// and feature rows.
+	Gather time.Duration
+	// Kernel is the backend scoring the gathered rows.
+	Kernel time.Duration
+	// Retain is the pushes of the scores into the windows, locks included.
+	Retain time.Duration
+	// Sort is each window's final sort and the rebuild of its candidates.
+	Sort time.Duration
 }
 
 // ScoreLists is the shared candidate-scoring engine: it scores every
@@ -103,15 +124,21 @@ func ScoreLists(f Filter, backend Backend, opts StreamOptions) ([][]Candidate, S
 	workers := par.Workers(opts.Workers, total)
 	regions := inst.ix.regions(target, shardSize(opts.ShardVpins, total, workers))
 	stats.Regions = len(regions)
+	ws := make([]worker, par.Workers(workers, len(regions)))
 
-	// Counting pass: every target's admitted candidate count.
+	// Counting pass: every target's admitted candidate count, walked into
+	// the worker's id buffer, which fits any target's candidates.
 	deg := make([]int32, n)
-	par.For(len(regions), workers, func(_, r int) error {
+	for w := range ws {
+		ws[w].g.Ids = make([]int32, 0, n)
+	}
+	par.For(len(regions), workers, func(w, r int) error {
+		t0 := time.Now()
+		ids := ws[w].g.Ids
 		for _, a := range regions[r] {
-			var d int32
-			f.Enumerate(int(a), func(int32) { d++ })
-			deg[a] = d
+			deg[a] = int32(len(f.AppendAdmitted(ids, int(a))))
 		}
+		ws[w].led.Count += time.Since(t0)
 		return nil
 	})
 	capPer := max(opts.Cap, 1)
@@ -138,33 +165,51 @@ func ScoreLists(f Filter, backend Backend, opts StreamOptions) ([][]Candidate, S
 	if !backend.pairwise() {
 		shared = nil
 	}
-	gs := make([]Gatherer, par.Workers(workers, len(regions)))
-	for w := range gs {
-		gs[w].Stride = opts.Stride
-		gs[w].reserve(maxDeg)
+	for w := range ws {
+		ws[w].g.Stride = opts.Stride
+		ws[w].g.reserve(maxDeg)
 	}
 	par.For(len(regions), workers, func(w, r int) error {
 		for _, a := range regions[r] {
-			s.score(&gs[w], backend, int(a), shared)
+			s.score(&ws[w], backend, int(a), shared)
 		}
 		return nil
 	})
-	for w := range gs {
-		stats.Batches += gs[w].Batches
-		stats.BatchRows += gs[w].BatchRows
-	}
 
-	keys := make([][]uint64, len(gs))
-	for w := range keys {
-		keys[w] = make([]uint64, min(maxDeg, capPer))
+	for w := range ws {
+		ws[w].keys = make([]uint64, min(maxDeg, capPer))
+		ws[w].tmp = make([]uint64, min(maxDeg, capPer))
 	}
 	par.For(len(regions), workers, func(w, r int) error {
+		t0 := time.Now()
 		for _, a := range regions[r] {
-			lists[a] = s.sorted(int(a), keys[w])
+			lists[a] = s.sorted(int(a), ws[w].keys, ws[w].tmp)
 		}
+		ws[w].led.Sort += time.Since(t0)
 		return nil
 	})
+	for w := range ws {
+		stats.Batches += ws[w].g.Batches
+		stats.BatchRows += ws[w].g.BatchRows
+		stats.Ledger.add(ws[w].led)
+	}
 	return lists, stats
+}
+
+// worker is one scoring goroutine's reusable state: its gather arena (whose
+// id buffer the counting pass walks into), its sort scratch and its ledger.
+type worker struct {
+	g         Gatherer
+	keys, tmp []uint64
+	led       Ledger
+}
+
+func (l *Ledger) add(o Ledger) {
+	l.Count += o.Count
+	l.Gather += o.Gather
+	l.Kernel += o.Kernel
+	l.Retain += o.Retain
+	l.Sort += o.Sort
 }
 
 // stream is one ScoreLists run's shared state. wins[a] is target a's
@@ -182,9 +227,13 @@ type stream struct {
 // score gathers and scores the pairs target a owns and retains each into
 // a's window and, for a shared partner, into the partner's. shared is nil
 // under a list-wise backend.
-func (s *stream) score(g *Gatherer, backend Backend, a int, shared []bool) {
+func (s *stream) score(wk *worker, backend Backend, a int, shared []bool) {
+	g := &wk.g
+	t0 := time.Now()
 	g.gather(s.f, a, shared)
+	t1 := time.Now()
 	g.Score(backend)
+	t2 := time.Now()
 	match := s.f.inst.match
 	s.locks[a].Lock()
 	for k, b := range g.Ids {
@@ -194,26 +243,30 @@ func (s *stream) score(g *Gatherer, backend Backend, a int, shared []bool) {
 		s.wins[a].Push(Candidate{Other: b, P: float32(g.P[k]), D: g.D[k]})
 	}
 	s.locks[a].Unlock()
-	if shared == nil {
-		return
-	}
-	for k, b := range g.Ids {
-		if !shared[b] {
-			continue
+	if shared != nil {
+		for k, b := range g.Ids {
+			if !shared[b] {
+				continue
+			}
+			if match[b] == int32(a) {
+				s.truth[b] = float32(g.P[k])
+			}
+			s.locks[b].Lock()
+			s.wins[b].Push(Candidate{Other: int32(a), P: float32(g.P[k]), D: g.D[k]})
+			s.locks[b].Unlock()
 		}
-		if match[b] == int32(a) {
-			s.truth[b] = float32(g.P[k])
-		}
-		s.locks[b].Lock()
-		s.wins[b].Push(Candidate{Other: int32(a), P: float32(g.P[k]), D: g.D[k]})
-		s.locks[b].Unlock()
 	}
+	t3 := time.Now()
+	wk.led.Gather += t1.Sub(t0)
+	wk.led.Kernel += t2.Sub(t1)
+	wk.led.Retain += t3.Sub(t2)
 }
 
-// sorted returns target a's window in canonical order, through a plain sort
-// of its rank keys in the scratch keys. Each candidate is rebuilt from its
-// key: Other and P are in the key, and D is the pair's distance again.
-func (s *stream) sorted(a int, keys []uint64) []Candidate {
+// sorted returns target a's window in canonical order, through a radix sort
+// of its rank keys in the scratch keys and tmp. Each candidate is rebuilt
+// from its key: Other and P are in the key, and D is the pair's distance
+// again.
+func (s *stream) sorted(a int, keys, tmp []uint64) []Candidate {
 	l := s.wins[a].c
 	if len(l) != s.wins[a].Cap {
 		panic("pairs: a candidate window missed arrivals; the filter is not symmetric")
@@ -222,13 +275,63 @@ func (s *stream) sorted(a int, keys []uint64) []Candidate {
 	for i, c := range l {
 		keys[i] = rankKey(c)
 	}
-	slices.Sort(keys)
+	keys = sortKeys(keys, tmp)
 	ex := s.f.inst.Ex
 	for i, k := range keys {
 		b := int32(uint32(k))
 		l[i] = Candidate{Other: b, P: rankP(k), D: float32(ex.VpinDist(a, int(b)))}
 	}
 	return l
+}
+
+// radixMin is the shortest key list sortKeys radix-sorts. Below it the
+// radix passes' fixed cost loses to slices.Sort: timed on every list of a
+// loo-l6 op, the two tie at 48–63 keys and radix wins from 64, and
+// BenchmarkSortKeys puts the crossover between 64 and 96 keys.
+const radixMin = 64
+
+// sortKeys sorts keys ascending and returns them, in keys or in tmp, which
+// must be at least as long. The keys are distinct (Other is unique in a
+// list), so the result is the one ascending order whichever algorithm runs.
+func sortKeys(keys, tmp []uint64) []uint64 {
+	if len(keys) < radixMin {
+		slices.Sort(keys)
+		return keys
+	}
+	return radixKeys(keys, tmp)
+}
+
+// radixKeys is a least-significant-byte-first radix sort of keys through
+// tmp that skips every byte all the keys share (a list's candidate ids
+// are below the design's v-pin count, so they share at least their top
+// byte). It returns the sorted keys, in keys or in tmp.
+func radixKeys(keys, tmp []uint64) []uint64 {
+	and, or := ^uint64(0), uint64(0)
+	for _, k := range keys {
+		and &= k
+		or |= k
+	}
+	src, dst := keys, tmp[:len(keys)]
+	for shift := uint(0); shift < 64; shift += 8 {
+		if byte((and^or)>>shift) == 0 {
+			continue
+		}
+		var count [256]int32
+		for _, k := range src {
+			count[byte(k>>shift)]++
+		}
+		var pos int32
+		for i := range count {
+			count[i], pos = pos, pos+count[i]
+		}
+		for _, k := range src {
+			d := byte(k >> shift)
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // shardSize resolves the region size: the explicit request when positive,

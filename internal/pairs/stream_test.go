@@ -1,6 +1,7 @@
 package pairs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -314,5 +315,74 @@ func TestRegionsCoverTargets(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sortKeyLists builds rank-key lists of the given length in the shapes the
+// radix sort must handle: probabilities drawn from special values (±0,
+// ±Inf, subnormals, the gate's -1) and a coarse grid, so many keys share P
+// and differ only in Other; all keys sharing one P; and ids that share
+// their high bytes.
+func sortKeyLists(rng *rand.Rand, n int) [][]uint64 {
+	specials := []float32{float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -1, 0.5, 1}
+	ids := rng.Perm(max(2*n, 1<<20))[:n]
+	var mixed, sameP, denseIDs []uint64
+	for i, o := range ids {
+		p := specials[rng.Intn(len(specials))]
+		if rng.Intn(2) == 0 {
+			p = float32(rng.Intn(64)) / 64
+		}
+		mixed = append(mixed, rankKey(Candidate{Other: int32(o), P: p}))
+		sameP = append(sameP, rankKey(Candidate{Other: int32(o), P: 0.75}))
+		denseIDs = append(denseIDs, rankKey(Candidate{Other: int32(n - 1 - i), P: float32(rng.Intn(4)) / 4}))
+	}
+	return [][]uint64{mixed, sameP, denseIDs}
+}
+
+// TestSortKeysMatchesSort pins the radix sort to slices.Sort at both sides
+// of the small-list cutoff and at a long list.
+func TestSortKeysMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{0, 1, radixMin - 1, radixMin, radixMin + 1, 10_000} {
+		for shape, keys := range sortKeyLists(rng, n) {
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			tmp := make([]uint64, n)
+			if got := sortKeys(slices.Clone(keys), tmp); !slices.Equal(got, want) {
+				t.Fatalf("n=%d shape %d: radix order differs from slices.Sort", n, shape)
+			}
+		}
+	}
+}
+
+// BenchmarkSortKeys times one list's key sort on both sides of radixMin:
+// the radix sort against slices.Sort, over ensemble-like probabilities
+// (multiples of 1/1000) and distinct ids of a few-thousand-v-pin design.
+// Each iteration sorts the next of 512 different lists, so the branch
+// predictor cannot learn one list's comparisons, as it would replaying a
+// single list.
+func BenchmarkSortKeys(b *testing.B) {
+	for _, n := range []int{16, 32, 48, 64, 96, 128, 256, 1024} {
+		rng := rand.New(rand.NewSource(1))
+		lists := make([][]uint64, 512)
+		for l := range lists {
+			for _, o := range rng.Perm(4096)[:n] {
+				lists[l] = append(lists[l], rankKey(Candidate{Other: int32(o), P: float32(rng.Intn(1000)) / 1000}))
+			}
+		}
+		work, tmp := make([]uint64, n), make([]uint64, n)
+		b.Run(fmt.Sprintf("radix/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(work, lists[i%len(lists)])
+				radixKeys(work, tmp)
+			}
+		})
+		b.Run(fmt.Sprintf("slices/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(work, lists[i%len(lists)])
+				slices.Sort(work)
+			}
+		})
 	}
 }

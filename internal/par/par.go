@@ -11,7 +11,9 @@ package par
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -31,33 +33,72 @@ func Workers(workers, n int) int {
 // [0, Workers(workers, n)). A single worker runs the loop inline. A failing
 // index does not stop the others: For returns after every index has run,
 // with the per-index errors joined in index order (nil when none failed).
+//
+// A panicking index does stop the loop: no worker takes another index, and
+// once the others have returned, For panics on the caller's goroutine with
+// a *Panic carrying the first panic's value and the stack it was raised on.
+// A recover on the caller therefore sees the panic of any pool goroutine,
+// which would otherwise end the process.
 func For(n, workers int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	errs := make([]error, n)
 	w := Workers(workers, n)
-	if w == 1 {
-		for i := range n {
-			errs[i] = fn(0, i)
-		}
-		return errors.Join(errs...)
-	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for worker := range w {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+	var panicked atomic.Pointer[Panic]
+	run := func(worker int) {
+		defer func() {
+			if r := recover(); r != nil {
+				p, ok := r.(*Panic)
+				if !ok {
+					p = &Panic{Value: r, Stack: debug.Stack()}
 				}
-				errs[i] = fn(worker, i)
+				panicked.CompareAndSwap(nil, p)
 			}
 		}()
+		for panicked.Load() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			errs[i] = fn(worker, i)
+		}
 	}
-	wg.Wait()
+	if w == 1 {
+		run(0)
+	} else {
+		var wg sync.WaitGroup
+		for worker := range w {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(worker)
+			}()
+		}
+		wg.Wait()
+	}
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 	return errors.Join(errs...)
+}
+
+// Panic is a panic raised by an index of For, re-raised on For's caller.
+// A panic that crosses nested pools keeps the innermost stack.
+type Panic struct {
+	// Value is the value the index panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack, from runtime/debug.Stack.
+	Stack []byte
+}
+
+// Error reports the original panic value, so a recover that formats the
+// panic as an error reads as the index's own panic.
+func (p *Panic) Error() string { return fmt.Sprint(p.Value) }
+
+// Unwrap returns the panic value when it is an error.
+func (p *Panic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
 }

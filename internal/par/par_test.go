@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -91,3 +92,66 @@ func TestForJoinsErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestForPanicReachesCaller panics at one index on every pool shape: For
+// must return the panic to its caller as a *Panic carrying the original
+// value and the panicking goroutine's stack, after every worker has
+// stopped, instead of letting it end the process from a pool goroutine.
+func TestForPanicReachesCaller(t *testing.T) {
+	const n = 40
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var running atomic.Int32
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				For(n, workers, func(_, i int) error {
+					running.Add(1)
+					defer running.Add(-1)
+					if i == 7 {
+						explode(i)
+					}
+					return nil
+				})
+				return nil
+			}()
+			p, ok := got.(*Panic)
+			if !ok {
+				t.Fatalf("recovered %T %v, want *Panic", got, got)
+			}
+			if p.Value != "index 7 exploded" || p.Error() != "index 7 exploded" {
+				t.Errorf("panic value %v, error %q; want the index's own panic", p.Value, p.Error())
+			}
+			if !strings.Contains(string(p.Stack), "par.explode") {
+				t.Errorf("panic stack does not show the panicking function:\n%s", p.Stack)
+			}
+			if r := running.Load(); r != 0 {
+				t.Errorf("%d indices still running after For re-raised", r)
+			}
+		})
+	}
+}
+
+// TestForPanicNestedKeepsInnerStack re-raises a panic through two nested
+// pools: the caller sees the inner index's value and stack, not a wrapper
+// of a wrapper.
+func TestForPanicNestedKeepsInnerStack(t *testing.T) {
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		For(4, 2, func(_, i int) error {
+			return For(4, 2, func(_, j int) error {
+				if i == 1 && j == 2 {
+					explode(12)
+				}
+				return nil
+			})
+		})
+		return nil
+	}()
+	p, ok := got.(*Panic)
+	if !ok || p.Value != "index 12 exploded" || !strings.Contains(string(p.Stack), "par.explode") {
+		t.Fatalf("recovered %#v, want the inner *Panic", got)
+	}
+}
+
+//go:noinline
+func explode(i int) { panic(fmt.Sprintf("index %d exploded", i)) }

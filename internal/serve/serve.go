@@ -48,6 +48,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/split"
 	"repro/internal/sweep"
 )
@@ -359,12 +360,17 @@ func (s *Server) runOne(job *Job) {
 	ch := make(chan outcome, 1)
 	go func() {
 		// A panicking job fails alone: the panic becomes the job's error
-		// and the server keeps serving. Panics on goroutines the job
-		// itself starts are beyond this recover.
+		// and the server keeps serving. The engine's pools (internal/par)
+		// re-raise a worker's panic here, with the worker's stack; a panic
+		// on any other goroutine the job starts is beyond this recover.
 		defer func() {
 			if r := recover(); r != nil {
+				stack := debug.Stack()
+				if p, ok := r.(*par.Panic); ok {
+					stack = p.Stack
+				}
 				s.o.Log().Error("job panicked", "job", job.ID, "panic", fmt.Sprint(r),
-					"stack", string(debug.Stack()))
+					"stack", string(stack))
 				ch <- outcome{err: fmt.Errorf("job panicked: %v", r)}
 			}
 		}()

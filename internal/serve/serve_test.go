@@ -11,6 +11,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/split"
 )
 
@@ -364,6 +365,45 @@ func TestServePanickingJobFails(t *testing.T) {
 	waitTerminal(t, good, 30*time.Second)
 	if st := s.Status(good).State; st != StateDone {
 		t.Errorf("job after the panic: state %s, want done", st)
+	}
+}
+
+// TestServePanickingPoolStageFails runs a job whose pooled stage panics on
+// an internal/par worker goroutine, as the engine's scoring windows do on
+// an asymmetric filter: the pool re-raises it on the job's goroutine, so
+// the job ends failed naming the panic, and the next job on the same
+// single-slot pool still completes.
+func TestServePanickingPoolStageFails(t *testing.T) {
+	o := obs.New(obs.Options{Command: "serve-test"})
+	pooled := func(ctx context.Context, s *Server, job *Job) (*Result, error) {
+		if job.Spec.Design == "sb1" {
+			err := par.For(8, 2, func(_, i int) error {
+				if i == 5 {
+					panic("pool stage exploded")
+				}
+				return nil
+			})
+			return nil, err
+		}
+		return stubRunner(ctx, s, job)
+	}
+	s := newTestServer(t, Options{Obs: o, Pool: 1, Queue: 4, runner: pooled})
+	bad, err := s.Submit(attackSpec("sb1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, bad, 30*time.Second)
+	if st := s.Status(bad); st.State != StateFailed || !strings.Contains(st.Error, "pool stage exploded") {
+		t.Fatalf("job with a panicking pool stage: state %s, error %q; want failed naming the panic",
+			st.State, st.Error)
+	}
+	good, err := s.Submit(attackSpec("sb5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, good, 30*time.Second)
+	if st := s.Status(good).State; st != StateDone {
+		t.Errorf("job after the pool panic: state %s, want done", st)
 	}
 }
 
