@@ -59,3 +59,34 @@ func BenchmarkScoreTargetTwoLevelScalar(b *testing.B) {
 func BenchmarkScoreTargetTwoLevelBatch(b *testing.B) {
 	benchScoreTarget(b, WithTwoLevel(Imp11()), false)
 }
+
+// BenchmarkTrainFold times model.Train for fold 0 of the layer-6 fixture,
+// Imp-11 on one worker: the sampling and Bagging-of-REPTrees induction a
+// leave-one-out fold runs, on real layout samples rather than the
+// synthetic set of ml's attack-shaped benchmarks. It reports the fold's
+// training samples and the trained ensemble's nodes, which a change to
+// induction must leave as they are.
+func BenchmarkTrainFold(b *testing.B) {
+	cfg := Imp11().withDefaults()
+	cfg.Seed = 1
+	cfg.Workers = 1
+	insts := NewInstancesWorkers(challenges(b, 6), 0)
+	train := others(insts, 0)
+	radius := -1.0
+	if cfg.Neighborhood {
+		radius = NeighborRadiusNorm(train, cfg.NeighborQuantile)
+	}
+	spec := cfg.trainSpec(train, 0, radius, nil)
+	b.ResetTimer()
+	var samples, nodes int
+	for i := 0; i < b.N; i++ {
+		art, stats, err := model.Train(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, _, _ := art.Ensembles()
+		samples, nodes = stats.Samples, e.Nodes()
+	}
+	b.ReportMetric(float64(samples), "samples")
+	b.ReportMetric(float64(nodes), "nodes")
+}

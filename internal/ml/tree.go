@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // TreeKind selects the base-classifier algorithm.
@@ -56,7 +55,9 @@ func (o TreeOptions) withDefaults(numFeatures int) TreeOptions {
 	if o.MaxDepth <= 0 {
 		o.MaxDepth = 30
 	}
-	if o.PruneFrac <= 0 || o.PruneFrac >= 1 {
+	// Written so that a NaN, which fails every comparison, takes the
+	// default too.
+	if !(o.PruneFrac > 0 && o.PruneFrac < 1) {
 		o.PruneFrac = 1.0 / 3.0
 	}
 	if len(o.Features) == 0 {
@@ -201,11 +202,7 @@ func newColumns(ds *Dataset, opts TreeOptions) (*columns, error) {
 	for k := range c.klnk {
 		c.klnk[k] = xlogx(k)
 	}
-	type entry struct {
-		v float64
-		r int32
-	}
-	sorted := make([]entry, rows)
+	keys, tmpKeys, tmpIDs := make([]uint64, rows), make([]uint64, rows), make([]int32, rows)
 	for fp, f := range opts.Features {
 		if c.x[f] == nil {
 			col := make([]float64, rows)
@@ -214,25 +211,62 @@ func newColumns(ds *Dataset, opts TreeOptions) (*columns, error) {
 			}
 			c.x[f] = col
 		}
-		for r, v := range c.x[f] {
-			sorted[r] = entry{v, int32(r)}
-		}
-		slices.SortFunc(sorted, func(a, b entry) int {
-			switch {
-			case a.v < b.v:
-				return -1
-			case a.v > b.v:
-				return 1
-			}
-			return int(a.r - b.r)
-		})
 		order := make([]int32, rows)
-		for i, e := range sorted {
-			order[i] = e.r
+		for r, v := range c.x[f] {
+			keys[r], order[r] = valueKey(v), int32(r)
 		}
+		radixSort(keys, order, tmpKeys, tmpIDs)
 		c.order[fp] = order
 	}
 	return c, nil
+}
+
+// valueKey maps a finite float64 to a uint64 that orders as the value
+// does: a negative value's bits are inverted, a non-negative value's sign
+// bit is set. −0 is folded to +0 first, since the two compare equal.
+func valueKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b == 1<<63 {
+		b = 0
+	}
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// radixSort sorts ids by keys[i], the key of ids[i], in place: a stable
+// least-significant-byte-first radix sort through tmpKeys and tmpIDs that
+// skips every byte all the keys share. Entries of equal key keep their
+// order, so ids listed in row-id order come out in (key, row id) order.
+// keys is left in some order, and the scratch slices must be at least as
+// long as ids.
+func radixSort(keys []uint64, ids []int32, tmpKeys []uint64, tmpIDs []int32) {
+	and, or := ^uint64(0), uint64(0)
+	for _, k := range keys {
+		and &= k
+		or |= k
+	}
+	srcK, srcI, dstK, dstI := keys, ids, tmpKeys[:len(keys)], tmpIDs[:len(ids)]
+	for shift := uint(0); shift < 64; shift += 8 {
+		if byte((and^or)>>shift) == 0 {
+			continue
+		}
+		var count [256]int32
+		for _, k := range srcK {
+			count[byte(k>>shift)]++
+		}
+		var pos int32
+		for i := range count {
+			count[i], pos = pos, pos+count[i]
+		}
+		for i, k := range srcK {
+			d := byte(k >> shift)
+			dstK[count[d]], dstI[count[d]] = k, srcI[i]
+			count[d]++
+		}
+		srcK, srcI, dstK, dstI = dstK, dstI, srcK, srcI
+	}
+	if len(ids) > 0 && &srcI[0] != &ids[0] {
+		copy(ids, srcI)
+	}
 }
 
 // grower is one goroutine's tree-induction state over shared columns. Its
@@ -240,15 +274,21 @@ func newColumns(ds *Dataset, opts TreeOptions) (*columns, error) {
 // goroutine trains.
 type grower struct {
 	c *columns
-	// ids[fp][lo:hi] lists the grow-set rows of the node owning segment
-	// [lo, hi) in increasing order of feature opts.Features[fp], a row
-	// once per copy; vals[fp] holds their values alongside, so the split
-	// scan reads both sequentially. Every node owns the same segment of
-	// every feature's arrays, and a split stably partitions each — the
-	// C4.5 presort scheme, O(m·n) per tree level.
+	// ids[fp][lo:hi] lists the distinct grow-set rows of the node owning
+	// segment [lo, hi) in increasing order of feature opts.Features[fp];
+	// vals[fp] holds their values alongside, so the split scan reads both
+	// sequentially. Every node owns the same segment of every feature's
+	// arrays, and a split stably partitions each — the C4.5 presort
+	// scheme, O(m·n) per tree level.
 	ids  [][]int32
 	vals [][]float64
-	mult []int32 // each row's multiplicity in the grow set being laid out
+	// wy[r] is row r's weight in the current tree's grow set — the number
+	// of times the bootstrap drew it into that set — in its low 32 bits,
+	// and its positive weight (the weight again for a positive row, 0 for
+	// a negative one) in its high 32 bits: one addition per row
+	// accumulates both of a node's counts. It is zero for rows outside the
+	// grow set.
+	wy []uint64
 	// goLeft[r] is 1 when row r goes left at the split being applied.
 	goLeft    []uint8
 	spareIDs  []int32 // right-hand staging for the stable partitions
@@ -256,6 +296,9 @@ type grower struct {
 	sample    []int32 // the current tree's bootstrap
 	pruneRows []int32 // the current tree's pruning fold
 	featPos   []int
+	// sharedFold is set while a REPTree prunes on its whole sample (see
+	// train); its leaves then keep their grow counts.
+	sharedFold bool
 }
 
 func newGrower(c *columns) *grower {
@@ -264,7 +307,7 @@ func newGrower(c *columns) *grower {
 		c:         c,
 		ids:       make([][]int32, m),
 		vals:      make([][]float64, m),
-		mult:      make([]int32, rows),
+		wy:        make([]uint64, rows),
 		goLeft:    make([]uint8, rows),
 		spareIDs:  make([]int32, rows),
 		spareVals: make([]float64, rows),
@@ -285,56 +328,60 @@ func newGrower(c *columns) *grower {
 // resample, in the same order: Dataset.SplitFrac's permutation for a
 // REPTree, the per-node feature shuffles for a RandomTree.
 func (g *grower) train(rows []int32, rng *rand.Rand) *Tree {
-	t := &Tree{}
+	y := g.c.y
+	var prune []int32
 	switch g.c.opts.Kind {
 	case REPTree:
 		// The permutation's first cut rows form the pruning fold and the
 		// rest the grow set; if either would be empty, both are all rows.
 		perm := rng.Perm(len(rows))
 		cut := int(float64(len(rows)) * g.c.opts.PruneFrac)
-		prune, grow := perm[:cut], perm[cut:]
-		if cut == 0 || cut == len(rows) {
-			prune, grow = perm, perm
+		pruneIdx, growIdx := perm[:cut], perm[cut:]
+		g.sharedFold = cut == 0 || cut == len(rows)
+		if g.sharedFold {
+			pruneIdx, growIdx = perm, perm
 		}
-		pruneRows := g.pruneRows[:0]
-		for _, j := range prune {
-			pruneRows = append(pruneRows, rows[j])
+		prune = g.pruneRows[:0]
+		for _, j := range pruneIdx {
+			prune = append(prune, rows[j])
 		}
-		for _, j := range grow {
-			g.mult[rows[j]]++
+		for _, j := range growIdx {
+			r := rows[j]
+			g.wy[r] += 1 | uint64(y[r])<<32
 		}
-		t.root = g.grow(len(grow), rng)
-		g.prune(t.root, pruneRows, g.spareIDs)
-		g.backfit(t.root, rows)
 	case RandomTree:
 		for _, r := range rows {
-			g.mult[r]++
+			g.wy[r] += 1 | uint64(y[r])<<32
 		}
-		t.root = g.grow(len(rows), rng)
 	}
+	t := &Tree{}
+	t.root, _ = g.growSeg(0, g.layout(), prune, 0, rng)
+	clear(g.wy)
 	t.flatten()
 	return t
 }
 
-// grow lays the grow set out — g.mult holds each row's multiplicity, n
-// rows in all — in every feature's presorted order, one pass over each
-// order and no sort, and grows the tree over it. Rows of equal value come out in
-// row-id order rather than in the order they were drawn; that cannot
-// change the tree, because a split choice depends only on the label
-// counts at boundaries between distinct values.
-func (g *grower) grow(n int, rng *rand.Rand) *node {
+// layout writes the grow set's distinct rows — those with a weight in
+// g.wy — in every feature's presorted order, one pass over each order and
+// no sort, and returns their number. Each row is written once, whatever
+// its weight. That cannot change the tree: a split choice depends only on
+// the label counts at boundaries between distinct values, and the copies
+// of a row share its value, so they never straddle a boundary.
+func (g *grower) layout() int {
+	w := 0
 	for fp, f := range g.c.opts.Features {
 		col, ids, vals := g.c.x[f], g.ids[fp], g.vals[fp]
-		w := 0
+		w = 0
+		// Branch-free: every row is written, and only a weighted row
+		// advances the cursor. w <= the rows read so far, so the writes
+		// stay in bounds.
 		for _, r := range g.c.order[fp] {
-			for k := g.mult[r]; k > 0; k-- {
-				ids[w], vals[w] = r, col[r]
-				w++
-			}
+			ids[w], vals[w] = r, col[r]
+			wy := g.wy[r]
+			w += int((wy | -wy) >> 63)
 		}
 	}
-	clear(g.mult)
-	return g.growSeg(0, n, 0, rng)
+	return w
 }
 
 // split is the best threshold a node's scan has found so far.
@@ -348,16 +395,56 @@ type split struct {
 }
 
 // growSeg builds the subtree over segment [lo, hi) of the laid-out arrays.
-func (g *grower) growSeg(lo, hi, depth int, rng *rand.Rand) *node {
-	opts := &g.c.opts
-	total := hi - lo
-	pos := 0
+// prune lists the pruning-fold rows that reach the node, nil for a
+// RandomTree; growSeg partitions it in place down the subtree.
+//
+// A REPTree is pruned as it grows, bottom-up, with Weka's reduced-error
+// rule: a subtree collapses to a leaf unless it beats the leaf on the
+// pruning fold by more than a pessimistic margin of about half a standard
+// deviation of the fold size — chance splits on noise cannot clear the
+// margin, while genuinely informative splits exceed it easily. growSeg
+// returns the subtree's error count on the fold. A leaf's counts are then
+// backfitted: they count every row of the tree's sample that reaches it,
+// grow set and pruning fold alike, so inference probabilities reflect all
+// of the sample rather than only the grow set. A decision node keeps its
+// grow-set counts.
+func (g *grower) growSeg(lo, hi int, prune []int32, depth int, rng *rand.Rand) (*node, int) {
+	opts, y := &g.c.opts, g.c.y
+	var acc uint64
 	for _, r := range g.ids[0][lo:hi] {
-		pos += int(g.c.y[r])
+		acc += g.wy[r]
 	}
+	total, pos := int(uint32(acc)), int(acc>>32)
 	n := &node{pos: pos, neg: total - pos}
+
+	// Errors on the fold if this node were a leaf predicting its grow-set
+	// majority.
+	prunePos := 0
+	for _, r := range prune {
+		prunePos += int(y[r])
+	}
+	leafErr := prunePos
+	if pos > total-pos {
+		leafErr = len(prune) - prunePos
+	}
+	leaf := func() (*node, int) {
+		n.left, n.right = nil, nil
+		if opts.Kind == REPTree && !g.sharedFold {
+			n.pos += prunePos
+			n.neg += len(prune) - prunePos
+		}
+		return n, leafErr
+	}
 	if pos == 0 || pos == total || total < 2*opts.MinLeaf || depth >= opts.MaxDepth {
-		return n
+		return leaf()
+	}
+	// The pruning rule below collapses this node whatever its subtree's
+	// error: subErr >= 0, and float rounding is monotone, so float64(subErr)
+	// + margin >= margin >= float64(leafErr). Growing the subtree would
+	// only throw it away, and a REPTree's growth draws no randomness.
+	margin := 0.5 * math.Sqrt(float64(len(prune))+1)
+	if opts.Kind == REPTree && float64(leafErr) <= margin {
+		return leaf()
 	}
 
 	// Feature positions to consider at this node. The scan finishes with
@@ -374,20 +461,29 @@ func (g *grower) growSeg(lo, hi, depth int, rng *rand.Rand) *node {
 	parentH := entropy2(pos, total-pos)
 	best := split{fp: -1, skip: float64(total) * (parentH + boundSlack)}
 	for _, fp := range featPos {
-		g.scan(&best, fp, lo, hi, pos, parentH)
+		g.scan(&best, fp, lo, hi, total, pos, parentH)
 	}
 	if best.fp < 0 {
-		return n
+		return leaf()
 	}
 	nLeft := g.partition(best, lo, hi)
-	if nLeft == 0 || nLeft == total {
-		return n
+	if nLeft == 0 || nLeft == hi-lo {
+		return leaf()
 	}
 	n.feature = opts.Features[best.fp]
 	n.threshold = best.thr
-	n.left = g.growSeg(lo, lo+nLeft, depth+1, rng)
-	n.right = g.growSeg(lo+nLeft, hi, depth+1, rng)
-	return n
+	pLeft := partitionFold(prune, g.c.x[n.feature], n.threshold)
+	var errL, errR int
+	n.left, errL = g.growSeg(lo, lo+nLeft, prune[:pLeft], depth+1, rng)
+	n.right, errR = g.growSeg(lo+nLeft, hi, prune[pLeft:], depth+1, rng)
+	if opts.Kind == RandomTree {
+		return n, 0
+	}
+	subErr := errL + errR
+	if float64(leafErr) <= float64(subErr)+margin {
+		return leaf()
+	}
+	return n, subErr
 }
 
 // boundSlack is the margin the entropy bound leaves above the largest
@@ -396,11 +492,12 @@ func (g *grower) growSeg(lo, hi, depth int, rng *rand.Rand) *node {
 const boundSlack = 1e-9
 
 // scan evaluates every threshold of feature position fp over the node's
-// segment [lo, hi), pos of whose rows are positive, against best. A
-// threshold between distinct values v < next is a candidate when both
-// sides keep MinLeaf rows, and it becomes best when its gain, parentH
-// minus the size-weighted entropy2 of the two sides, exceeds best.gain by
-// more than 1e-12 — in that expression, evaluated in that order.
+// segment [lo, hi), whose rows weigh total, pos of it positive, against
+// best. A threshold between distinct values v < next is a candidate when
+// both sides weigh at least MinLeaf, and it becomes best when its gain,
+// parentH minus the size-weighted entropy2 of the two sides, exceeds
+// best.gain by more than 1e-12 — in that expression, evaluated in that
+// order.
 //
 // Most candidates are settled without it. W, total times the split
 // entropy, is also Σ±k·ln k over the six counts (see splitW), six lookups
@@ -408,23 +505,27 @@ const boundSlack = 1e-9
 // puts W/total boundSlack above the entropy that would pass, and W/total
 // is far closer than that to the exact value. best only ever takes exact
 // gains, so the chosen split is the one the exact test alone would pick.
-func (g *grower) scan(best *split, fp, lo, hi, pos int, parentH float64) {
-	y, klnk := g.c.y, g.c.klnk
+func (g *grower) scan(best *split, fp, lo, hi, total, pos int, parentH float64) {
+	wy, klnk := g.wy, g.c.klnk
 	ids, vals := g.ids[fp][lo:hi], g.vals[fp][lo:hi]
-	total, minLeaf := hi-lo, g.c.opts.MinLeaf
-	neg := total - pos
-	lp := 0
-	for _, r := range ids[:minLeaf-1] {
-		lp += int(y[r])
-	}
-	// k is the last row on the left: both sides keep minLeaf rows.
-	for k := minLeaf - 1; k < total-minLeaf; k++ {
-		lp += int(y[ids[k]])
+	minLeaf, neg := g.c.opts.MinLeaf, total-pos
+	// acc holds the left side's weight and positive weight, packed as in
+	// wy, with entry k the last one on the left.
+	var acc uint64
+	for k := 0; k < len(ids)-1; k++ {
+		acc += wy[ids[k]]
 		v, next := vals[k], vals[k+1]
 		if v == next {
 			continue
 		}
-		left := k + 1
+		left := int(uint32(acc))
+		if left < minLeaf {
+			continue
+		}
+		if total-left < minLeaf {
+			break
+		}
+		lp := int(acc >> 32)
 		ln := left - lp
 		if splitW(klnk[left], klnk[total-left], klnk[lp], klnk[ln], klnk[pos-lp], klnk[neg-ln]) >= best.skip {
 			continue
@@ -454,7 +555,7 @@ func xlogx(k int) float64 {
 }
 
 // partition applies best to the node's segment [lo, hi) of every feature's
-// arrays, stably, and returns the number of rows going left; it moves
+// arrays, stably, and returns the number of entries going left; it moves
 // nothing when either side would be empty. The best feature's rows are
 // sorted, so its left rows already form a prefix; a per-row flag carries
 // the side to the other features, one sequential pass each.
@@ -495,81 +596,18 @@ func (g *grower) partition(best split, lo, hi int) int {
 	return nLeft
 }
 
-// prune performs reduced-error pruning: a subtree is collapsed to a leaf
-// unless it beats the leaf on the pruning fold by more than a pessimistic
-// margin of about half a standard deviation of the fold size — chance
-// splits on noise cannot clear the margin, while genuinely informative
-// splits exceed it easily. It returns the subtree's error count on the
-// fold.
-//
-// rows is the fold's part that reaches n. Each node stably partitions it
-// in place — left rows compact to the front, right rows stage through
-// spare, which must be at least len(rows) long — so the whole pass reuses
-// the grower's buffers.
-func (g *grower) prune(n *node, rows, spare []int32) int {
-	pos := 0
-	for _, r := range rows {
-		pos += int(g.c.y[r])
-	}
-	// Errors if this node were a leaf predicting its training majority.
-	leafErr := pos
-	if n.pos > n.neg {
-		leafErr = len(rows) - pos
-	}
-	if n.isLeaf() {
-		return leafErr
-	}
-
-	col := g.c.x[n.feature]
-	nLeft, nRight := 0, 0
-	for _, r := range rows {
-		if col[r] < n.threshold {
-			rows[nLeft] = r
-			nLeft++
-		} else {
-			spare[nRight] = r
-			nRight++
+// partitionFold swaps the fold rows going left at the split (col[r] < thr)
+// to the front of rows and returns their number. Only the fold's counts
+// are read, so its order is free.
+func partitionFold(rows []int32, col []float64, thr float64) int {
+	l := 0
+	for i, id := range rows {
+		if col[id] < thr {
+			rows[l], rows[i] = id, rows[l]
+			l++
 		}
 	}
-	copy(rows[nLeft:], spare[:nRight])
-	subErr := g.prune(n.left, rows[:nLeft], spare) + g.prune(n.right, rows[nLeft:], spare)
-	margin := 0.5 * math.Sqrt(float64(len(rows))+1)
-	if float64(leafErr) <= float64(subErr)+margin {
-		n.left, n.right = nil, nil
-		return leafErr
-	}
-	return subErr
-}
-
-// backfit replaces all leaf class counts with counts over rows, the
-// tree's full training sample, so inference probabilities reflect all
-// available data rather than only the grow fold.
-func (g *grower) backfit(root *node, rows []int32) {
-	clearCounts(root)
-	for _, r := range rows {
-		n := root
-		for !n.isLeaf() {
-			if g.c.x[n.feature][r] < n.threshold {
-				n = n.left
-			} else {
-				n = n.right
-			}
-		}
-		if g.c.y[r] == 1 {
-			n.pos++
-		} else {
-			n.neg++
-		}
-	}
-}
-
-func clearCounts(n *node) {
-	if n.isLeaf() {
-		n.pos, n.neg = 0, 0
-		return
-	}
-	clearCounts(n.left)
-	clearCounts(n.right)
+	return l
 }
 
 // Counts returns the positive/negative training counts of the leaf x falls

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -21,7 +22,10 @@ import (
 // production trainers on randomized datasets — heavy ties, constant
 // columns, signed zeros, duplicated rows — under every option the
 // trainers branch on, and requires identical flat trees: feature,
-// threshold bits, children and leaf counts.
+// threshold bits, children and leaf counts. Its subtests, drawn after the
+// 240 randomized cases so that those keep their draws, add what the
+// randomized cases reach rarely or never: pruning folds that are the grow
+// set, heavy pruning, bagging over thousands of rows, and extreme values.
 func TestInductionMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for c := 0; c < 240; c++ {
@@ -50,46 +54,120 @@ func TestInductionMatchesReference(t *testing.T) {
 		}
 		name := fmt.Sprintf("case %d (n=%d width=%d %v minleaf=%d depth=%d features=%v)",
 			c, n, width, opts.Kind, opts.MinLeaf, opts.MaxDepth, opts.Features)
-		seed := r.Int63()
+		matchesReference(t, name, ds, opts, r.Int63(), c%3 == 0 && n <= 1000)
+	}
 
-		want, err := refTrainTree(ds, opts, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
+	// A PruneFrac that cuts no row makes the pruning fold the whole
+	// sample, shared with the grow set, and leaves keep their grow
+	// counts. The other end, a cut of every row, needs n·PruneFrac to
+	// round up to n, which no PruneFrac below 1 does; the largest one
+	// leaves the grow set a single row.
+	t.Run("SharedFold", func(t *testing.T) {
+		r := rand.New(rand.NewSource(42))
+		for c := 0; c < 24; c++ {
+			n := 2 + r.Intn(300)
+			if c%4 == 0 {
+				n = 1000 + r.Intn(2000)
+			}
+			frac := []float64{1e-9, 0.5 / float64(n), 1 / float64(n+1), math.Nextafter(1, 0)}[c%4]
+			opts := TreeOptions{Kind: REPTree, MinLeaf: []int{1, 2}[r.Intn(2)], PruneFrac: frac}
+			width := 1 + r.Intn(6)
+			name := fmt.Sprintf("case %d (n=%d width=%d minleaf=%d prunefrac=%g)", c, n, width, opts.MinLeaf, frac)
+			matchesReference(t, name, refDataset(r, n, width), opts, r.Int63(), true)
 		}
-		got, err := TrainTree(ds, opts, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		sameTree(t, name+" TrainTree", got, want)
+	})
 
-		if c%3 != 0 || n > 1000 {
-			continue
+	// Heavy pruning: nine tenths of each sample prune the tree grown on
+	// the last tenth, so most nodes stop early or collapse.
+	t.Run("HeavyPruning", func(t *testing.T) {
+		r := rand.New(rand.NewSource(43))
+		for c := 0; c < 24; c++ {
+			n := 20 + r.Intn(1500)
+			opts := TreeOptions{Kind: REPTree, MinLeaf: []int{1, 2, 5}[r.Intn(3)], PruneFrac: 0.9}
+			width := 1 + r.Intn(8)
+			name := fmt.Sprintf("case %d (n=%d width=%d minleaf=%d)", c, n, width, opts.MinLeaf)
+			matchesReference(t, name, refDataset(r, n, width), opts, r.Int63(), c%2 == 0)
 		}
-		shared := rand.New(rand.NewSource(seed))
-		wantB, err := refTrainBagging(ds, 3, opts, func(int) *rand.Rand { return shared })
-		if err != nil {
-			t.Fatalf("%s: reference bagging: %v", name, err)
-		}
-		gotB, err := TrainBagging(ds, 3, opts, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i := range wantB.Trees {
-			sameTree(t, fmt.Sprintf("%s TrainBagging tree %d", name, i), gotB.Trees[i], wantB.Trees[i])
-		}
+	})
 
-		streams := func(tree int) *rand.Rand { return rng.Derive(seed, int64(tree)) }
-		wantS, err := refTrainBagging(ds, 4, opts, streams)
-		if err != nil {
-			t.Fatalf("%s: reference streams: %v", name, err)
+	// Bagging over thousands of rows, where many rows are drawn several
+	// times and enter the grow set with weights above 1.
+	t.Run("BaggingWeights", func(t *testing.T) {
+		r := rand.New(rand.NewSource(44))
+		for c := 0; c < 6; c++ {
+			n := 1000 + r.Intn(4001)
+			opts := TreeOptions{Kind: []TreeKind{REPTree, RandomTree}[c%2], MinLeaf: []int{1, 2, 5}[r.Intn(3)]}
+			width := 2 + r.Intn(10)
+			name := fmt.Sprintf("case %d (n=%d width=%d %v minleaf=%d)", c, n, width, opts.Kind, opts.MinLeaf)
+			matchesReference(t, name, refDataset(r, n, width), opts, r.Int63(), true)
 		}
-		gotS, err := TrainBaggingStreams(nil, ds, 4, opts, streams, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	})
+
+	// Columns that mix subnormals, ±1e300 and negative fractions with ±0,
+	// so that the presort's keys must order values across signs,
+	// exponents and the subnormal range, and fold −0 into +0.
+	t.Run("ExtremeValues", func(t *testing.T) {
+		r := rand.New(rand.NewSource(45))
+		for c := 0; c < 24; c++ {
+			n := 2 + r.Intn(400)
+			if c%6 == 0 {
+				n = 1000 + r.Intn(2000)
+			}
+			width := 1 + r.Intn(6)
+			ds := refExtremeDataset(r, n, width)
+			opts := TreeOptions{
+				Kind:    []TreeKind{REPTree, RandomTree}[r.Intn(2)],
+				MinLeaf: []int{1, 2, 5}[r.Intn(3)],
+			}
+			name := fmt.Sprintf("case %d (n=%d width=%d %v minleaf=%d)", c, n, width, opts.Kind, opts.MinLeaf)
+			matchesReference(t, name, ds, opts, r.Int63(), c%3 == 0)
 		}
-		for i := range wantS.Trees {
-			sameTree(t, fmt.Sprintf("%s TrainBaggingStreams tree %d", name, i), gotS.Trees[i], wantS.Trees[i])
-		}
+	})
+}
+
+// matchesReference trains TrainTree and the reference on ds from seed and
+// requires identical trees; with bagging, it does the same for
+// TrainBagging (three trees, one shared rng) and TrainBaggingStreams (four
+// trees on two workers).
+func matchesReference(t *testing.T, name string, ds *Dataset, opts TreeOptions, seed int64, bagging bool) {
+	t.Helper()
+	want, err := refTrainTree(ds, opts, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	got, err := TrainTree(ds, opts, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	sameTree(t, name+" TrainTree", got, want)
+	if !bagging {
+		return
+	}
+
+	shared := rand.New(rand.NewSource(seed))
+	wantB, err := refTrainBagging(ds, 3, opts, func(int) *rand.Rand { return shared })
+	if err != nil {
+		t.Fatalf("%s: reference bagging: %v", name, err)
+	}
+	gotB, err := TrainBagging(ds, 3, opts, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for i := range wantB.Trees {
+		sameTree(t, fmt.Sprintf("%s TrainBagging tree %d", name, i), gotB.Trees[i], wantB.Trees[i])
+	}
+
+	streams := func(tree int) *rand.Rand { return rng.Derive(seed, int64(tree)) }
+	wantS, err := refTrainBagging(ds, 4, opts, streams)
+	if err != nil {
+		t.Fatalf("%s: reference streams: %v", name, err)
+	}
+	gotS, err := TrainBaggingStreams(nil, ds, 4, opts, streams, 2)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for i := range wantS.Trees {
+		sameTree(t, fmt.Sprintf("%s TrainBaggingStreams tree %d", name, i), gotS.Trees[i], wantS.Trees[i])
 	}
 }
 
@@ -156,6 +234,93 @@ func refDataset(r *rand.Rand, n, width int) *Dataset {
 		ds.Add(x, y)
 	}
 	return ds
+}
+
+// extremeValues are the values refExtremeDataset draws from: ±0, the
+// subnormal range and its ends, negative fractions, and magnitudes near
+// 1e300.
+var extremeValues = []float64{
+	math.Copysign(0, -1), 0,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	3e-320, -3e-320, 1e-310, -1e-310, 0x1p-1022, -0x1p-1022,
+	-0.5, -0.25, -0.125, 0.25, 1,
+	1e300, -1e300, 2e300, -2e300,
+}
+
+// refExtremeDataset draws n rows of width columns: each column mixes a
+// random subset of extremeValues, with some rows continuous instead.
+// Labels follow the sign of one column plus noise.
+func refExtremeDataset(r *rand.Rand, n, width int) *Dataset {
+	pools := make([][]float64, width)
+	for j := range pools {
+		pools[j] = make([]float64, 2+r.Intn(len(extremeValues)-1))
+		for i := range pools[j] {
+			pools[j][i] = extremeValues[r.Intn(len(extremeValues))]
+		}
+	}
+	a := r.Intn(width)
+	ds := &Dataset{}
+	for i := 0; i < n; i++ {
+		x := make([]float64, width)
+		for j := range x {
+			x[j] = pools[j][r.Intn(len(pools[j]))]
+			if r.Intn(10) == 0 {
+				x[j] = r.NormFloat64() * 1e-300
+			}
+		}
+		ds.Add(x, (x[a] > 0) != (r.Intn(5) == 0))
+	}
+	return ds
+}
+
+// TestPresortMatchesReference checks newColumns' radix presort against a
+// comparison sort of (value, row id) on columns of extreme values, of
+// small integers with heavy ties, and of continuous values.
+func TestPresortMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	for c := 0; c < 60; c++ {
+		n := 1 + r.Intn(3000)
+		var ds *Dataset
+		if c%2 == 0 {
+			ds = refExtremeDataset(r, n, 1+r.Intn(4))
+		} else {
+			ds = refDataset(r, n, 1+r.Intn(4))
+		}
+		cols, err := newColumns(ds, TreeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fp, f := range cols.opts.Features {
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+			}
+			slices.SortFunc(want, func(a, b int32) int {
+				va, vb := ds.X[a][f], ds.X[b][f]
+				switch {
+				case va < vb:
+					return -1
+				case va > vb:
+					return 1
+				}
+				return int(a - b)
+			})
+			if !slices.Equal(cols.order[fp], want) {
+				t.Fatalf("case %d feature %d: presorted order differs from the comparison sort", c, f)
+			}
+		}
+	}
+	// The keys order every pair of distinct values as the values do, and
+	// give ±0 one key.
+	vals := append([]float64{math.MaxFloat64, -math.MaxFloat64}, extremeValues...)
+	for _, a := range vals {
+		for _, b := range vals {
+			ka, kb := valueKey(a), valueKey(b)
+			if (a < b) != (ka < kb) || (a == b) != (ka == kb) {
+				t.Fatalf("valueKey(%g) = %#x, valueKey(%g) = %#x: order differs from the values'", a, ka, b, kb)
+			}
+		}
+	}
 }
 
 // TestEntropyBoundError bounds the gap between W/total, the split scan's
@@ -469,4 +634,13 @@ func (t *Tree) refBackfit(ds *Dataset) {
 			n.neg++
 		}
 	}
+}
+
+func clearCounts(n *node) {
+	if n.isLeaf() {
+		n.pos, n.neg = 0, 0
+		return
+	}
+	clearCounts(n.left)
+	clearCounts(n.right)
 }

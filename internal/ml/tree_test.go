@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -284,5 +285,23 @@ func TestSingleClassDataYieldsLeaf(t *testing.T) {
 	// Laplace smoothing: 50 positives of 50 yield (50+1)/(50+2).
 	if p := tree.Prob([]float64{0.5}); p != 51.0/52.0 {
 		t.Errorf("single-class prob = %f, want %f", p, 51.0/52.0)
+	}
+}
+
+// TestPruneFracOutsideUnitIntervalTakesDefault trains with every kind of
+// PruneFrac outside (0, 1), NaN included, and requires the tree the
+// default trains from the same rng.
+func TestPruneFracOutsideUnitIntervalTakesDefault(t *testing.T) {
+	ds := noisyData(400, 0.2, rand.New(rand.NewSource(14)))
+	want, err := TrainTree(ds, TreeOptions{Kind: REPTree}, rand.New(rand.NewSource(15)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{math.NaN(), 0, -0.5, 1, 1.5, math.Inf(1), math.Inf(-1)} {
+		got, err := TrainTree(ds, TreeOptions{Kind: REPTree, PruneFrac: frac}, rand.New(rand.NewSource(15)))
+		if err != nil {
+			t.Fatalf("PruneFrac %v: %v", frac, err)
+		}
+		sameTree(t, fmt.Sprintf("PruneFrac %v", frac), got, want)
 	}
 }

@@ -18,7 +18,7 @@ type Gatherer struct {
 	// canonical enumeration order; both backends score the rows in this
 	// order.
 	Ids []int32
-	// D[k] is the ManhattanVpin distance of candidate k.
+	// D[k] is the ManhattanVpin distance of candidate k, filled by Gather.
 	D []float32
 	// P[k] is candidate k's final probability after Score; under two-level
 	// pruning gate-rejected candidates score -1, exactly like the scalar
@@ -52,11 +52,20 @@ func (g *Gatherer) rowStride() int {
 // Gather collects v-pin a's admitted candidates under the filter: ids,
 // distances, and the feature matrix, in the canonical enumeration order.
 // Previously gathered state is discarded.
-func (g *Gatherer) Gather(f Filter, a int) { g.gather(f, a, nil) }
+func (g *Gatherer) Gather(f Filter, a int) {
+	g.gather(f, a, nil)
+	ex := f.inst.Ex
+	g.D = slices.Grow(g.D[:0], len(g.Ids))[:len(g.Ids)]
+	for k, b := range g.Ids {
+		g.D[k] = float32(ex.VpinDist(a, int(b)))
+	}
+}
 
-// gather is Gather restricted to the pairs a owns: it drops every
-// candidate b < a that shared marks, since b's own gather scores the pair
-// (see ScoreLists). A nil shared keeps every candidate.
+// gather is Gather without the distances, restricted to the pairs a owns:
+// it drops every candidate b < a that shared marks, since b's own gather
+// scores the pair (see ScoreLists). A nil shared keeps every candidate.
+// ScoreLists reads no distance while it scores; it computes the retained
+// candidates' distances when it sorts each list.
 func (g *Gatherer) gather(f Filter, a int, shared []bool) {
 	g.Ids = f.AppendAdmitted(g.Ids[:0], a)
 	if shared != nil {
@@ -70,19 +79,16 @@ func (g *Gatherer) gather(f Filter, a int, shared []bool) {
 		g.Ids = g.Ids[:k]
 	}
 	n, stride, ex := len(g.Ids), g.rowStride(), f.inst.Ex
-	g.D = slices.Grow(g.D[:0], n)[:n]
 	g.rows = slices.Grow(g.rows[:0], n*stride)[:n*stride]
 	for k, b := range g.Ids {
-		g.D[k] = float32(ex.VpinDist(a, int(b)))
 		ex.Pair(a, int(b), g.rows[k*stride:(k+1)*stride])
 	}
 }
 
-// reserve sizes the buffers for n candidates at once, so gathering and
-// scoring up to n candidates allocates nothing.
+// reserve sizes the buffers for n candidates at once, so that gather and
+// Score over up to n candidates allocate nothing.
 func (g *Gatherer) reserve(n int) {
 	g.Ids = slices.Grow(g.Ids[:0], n)
-	g.D = make([]float32, 0, n)
 	g.rows = make([]float64, 0, n*g.rowStride())
 	g.P = make([]float64, 0, n)
 }

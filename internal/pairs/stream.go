@@ -60,8 +60,8 @@ type StreamStats struct {
 type Ledger struct {
 	// Count is the counting pass: every target's candidate walk.
 	Count time.Duration
-	// Gather is each target's walk again plus its owned pairs' distances
-	// and feature rows.
+	// Gather is each target's walk again plus its owned pairs' feature
+	// rows.
 	Gather time.Duration
 	// Kernel is the backend scoring the gathered rows.
 	Kernel time.Duration
@@ -240,7 +240,7 @@ func (s *stream) score(wk *worker, backend Backend, a int, shared []bool) {
 		if b == match[a] {
 			s.truth[a] = float32(g.P[k])
 		}
-		s.wins[a].Push(Candidate{Other: b, P: float32(g.P[k]), D: g.D[k]})
+		s.wins[a].Push(Candidate{Other: b, P: float32(g.P[k])})
 	}
 	s.locks[a].Unlock()
 	if shared != nil {
@@ -252,7 +252,7 @@ func (s *stream) score(wk *worker, backend Backend, a int, shared []bool) {
 				s.truth[b] = float32(g.P[k])
 			}
 			s.locks[b].Lock()
-			s.wins[b].Push(Candidate{Other: int32(a), P: float32(g.P[k]), D: g.D[k]})
+			s.wins[b].Push(Candidate{Other: int32(a), P: float32(g.P[k])})
 			s.locks[b].Unlock()
 		}
 	}
@@ -264,8 +264,8 @@ func (s *stream) score(wk *worker, backend Backend, a int, shared []bool) {
 
 // sorted returns target a's window in canonical order, through a radix sort
 // of its rank keys in the scratch keys and tmp. Each candidate is rebuilt
-// from its key: Other and P are in the key, and D is the pair's distance
-// again.
+// from its key: Other and P are in the key, and D, which the windows do
+// not carry, is computed here for the retained candidates only.
 func (s *stream) sorted(a int, keys, tmp []uint64) []Candidate {
 	l := s.wins[a].c
 	if len(l) != s.wins[a].Cap {
