@@ -99,11 +99,16 @@ func drawRows[T int | int32](rows []T, n int, rng *rand.Rand) []T {
 }
 
 // SplitFrac partitions the dataset into two disjoint parts, the first
-// holding approximately frac of the rows, shuffled by rng. REPTree uses
-// this to hold out a pruning fold.
+// holding approximately frac of the rows, shuffled by rng. A fraction
+// outside [0, 1] is clamped to it, NaN to 0. The reference inducer in the
+// tests holds out its pruning fold with it, and examples/featureranking
+// its validation set.
 func (d *Dataset) SplitFrac(frac float64, rng *rand.Rand) (a, b *Dataset) {
 	idx := rng.Perm(d.Len())
-	cut := int(float64(d.Len()) * frac)
+	cut := 0
+	if frac > 0 {
+		cut = int(float64(d.Len()) * min(frac, 1))
+	}
 	return d.Subset(idx[:cut]), d.Subset(idx[cut:])
 }
 

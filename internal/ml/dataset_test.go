@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -73,30 +74,46 @@ func TestBootstrapSizeAndSource(t *testing.T) {
 	}
 }
 
+// TestSplitFracDisjointAndComplete splits 100 rows at fractions inside
+// and outside [0, 1]: the parts always cover every row once, a fraction
+// outside is clamped (NaN to 0), and each split draws one permutation.
 func TestSplitFracDisjointAndComplete(t *testing.T) {
 	d := &Dataset{}
 	for i := 0; i < 100; i++ {
 		d.Add([]float64{float64(i)}, i%2 == 0)
 	}
-	rng := rand.New(rand.NewSource(2))
-	a, b := d.SplitFrac(0.3, rng)
-	if a.Len() != 30 || b.Len() != 70 {
-		t.Fatalf("split sizes %d/%d, want 30/70", a.Len(), b.Len())
-	}
-	seen := map[float64]int{}
-	for _, row := range a.X {
-		seen[row[0]]++
-	}
-	for _, row := range b.X {
-		seen[row[0]]++
-	}
-	for v, c := range seen {
-		if c != 1 {
-			t.Fatalf("value %f appears %d times across split", v, c)
+	for _, tc := range []struct {
+		frac  float64
+		first int
+	}{
+		{0.3, 30}, {math.NaN(), 0}, {math.Inf(1), 100}, {math.Inf(-1), 0},
+		{-0.5, 0}, {0, 0}, {1, 100}, {1.5, 100},
+	} {
+		rng := rand.New(rand.NewSource(2))
+		a, b := d.SplitFrac(tc.frac, rng)
+		if a.Len() != tc.first || b.Len() != 100-tc.first {
+			t.Fatalf("SplitFrac(%v) sizes %d/%d, want %d/%d", tc.frac, a.Len(), b.Len(), tc.first, 100-tc.first)
 		}
-	}
-	if len(seen) != 100 {
-		t.Fatalf("split covers %d values, want 100", len(seen))
+		ref := rand.New(rand.NewSource(2))
+		ref.Perm(100)
+		if rng.Int63() != ref.Int63() {
+			t.Errorf("SplitFrac(%v) drew other than one permutation", tc.frac)
+		}
+		seen := map[float64]int{}
+		for _, row := range a.X {
+			seen[row[0]]++
+		}
+		for _, row := range b.X {
+			seen[row[0]]++
+		}
+		for v, c := range seen {
+			if c != 1 {
+				t.Fatalf("SplitFrac(%v): value %f appears %d times across split", tc.frac, v, c)
+			}
+		}
+		if len(seen) != 100 {
+			t.Fatalf("SplitFrac(%v) covers %d values, want 100", tc.frac, len(seen))
+		}
 	}
 }
 

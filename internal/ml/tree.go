@@ -294,6 +294,7 @@ type grower struct {
 	spareIDs  []int32 // right-hand staging for the stable partitions
 	spareVals []float64
 	sample    []int32 // the current tree's bootstrap
+	perm      []int32 // a REPTree's shuffle of its sample positions
 	pruneRows []int32 // the current tree's pruning fold
 	featPos   []int
 	// sharedFold is set while a REPTree prunes on its whole sample (see
@@ -312,6 +313,7 @@ func newGrower(c *columns) *grower {
 		spareIDs:  make([]int32, rows),
 		spareVals: make([]float64, rows),
 		sample:    make([]int32, rows),
+		perm:      make([]int32, rows),
 		pruneRows: make([]int32, 0, rows),
 		featPos:   make([]int, m),
 	}
@@ -334,7 +336,7 @@ func (g *grower) train(rows []int32, rng *rand.Rand) *Tree {
 	case REPTree:
 		// The permutation's first cut rows form the pruning fold and the
 		// rest the grow set; if either would be empty, both are all rows.
-		perm := rng.Perm(len(rows))
+		perm := permute(g.perm[:len(rows)], rng)
 		cut := int(float64(len(rows)) * g.c.opts.PruneFrac)
 		pruneIdx, growIdx := perm[:cut], perm[cut:]
 		g.sharedFold = cut == 0 || cut == len(rows)
@@ -359,6 +361,17 @@ func (g *grower) train(rows []int32, rng *rand.Rand) *Tree {
 	clear(g.wy)
 	t.flatten()
 	return t
+}
+
+// permute fills m with the permutation rng.Perm(len(m)) returns, by the
+// same loop and so the same draws, and returns it.
+func permute(m []int32, rng *rand.Rand) []int32 {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = int32(i)
+	}
+	return m
 }
 
 // layout writes the grow set's distinct rows — those with a weight in

@@ -305,3 +305,20 @@ func TestPruneFracOutsideUnitIntervalTakesDefault(t *testing.T) {
 		sameTree(t, fmt.Sprintf("PruneFrac %v", frac), got, want)
 	}
 }
+
+// TestPermuteMatchesRandPerm pins permute to rng.Perm on equal-seeded
+// generators: the same permutation, and the generators left in step.
+func TestPermuteMatchesRandPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 4964} {
+		r1, r2 := rand.New(rand.NewSource(int64(n)+7)), rand.New(rand.NewSource(int64(n)+7))
+		got, want := permute(make([]int32, n), r1), r2.Perm(n)
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("n=%d: permute[%d] = %d, rand.Perm %d", n, i, got[i], want[i])
+			}
+		}
+		if r1.Int63() != r2.Int63() {
+			t.Errorf("n=%d: permute drew other than rand.Perm", n)
+		}
+	}
+}

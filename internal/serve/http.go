@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
+	"strconv"
 
 	"repro/internal/attack"
 	"repro/internal/layout"
@@ -159,7 +162,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleResult serves a done job's Result: 200 with the document, 202 with
 // the status while pending/running, 404 unknown, 409 for a job that ended
-// without a result (failed, cancelled, interrupted).
+// without a result (failed, cancelled, interrupted). A state-dir server
+// streams the persisted results/<id>.json with its size as Content-Length;
+// a memory-only server encodes the in-memory result as it streams it.
+// Both are the same bytes.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -179,19 +185,44 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			"job %s is %s and has no result: %s", job.ID, st.State, st.Error)
 		return
 	}
-	if res, ok := s.Result(job); ok {
-		obs.ServeJSON(w, res)
+	s.mu.Lock()
+	res, persisted := job.result, job.persisted
+	s.mu.Unlock()
+	if !persisted && res != nil {
+		// A memory-only server, or a failed persist: encode from memory.
+		rw := &sentWriter{ResponseWriter: w}
+		w.Header().Set("Content-Type", "application/json")
+		if err := writeResult(rw, res); err != nil && !rw.sent {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 		return
 	}
-	// Done before a restart: the document lives only in the state dir.
-	raw, err := s.loadResultRaw(job.ID)
+	f, err := os.Open(s.resultPath(job.ID))
+	var fi os.FileInfo
+	if err == nil {
+		defer f.Close()
+		fi, err = f.Stat()
+	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "missing_result",
 			"job %s is done but its result document is gone: %v", job.ID, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(raw) //nolint:errcheck
+	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
+	io.Copy(w, f) //nolint:errcheck // the client went away
+}
+
+// sentWriter records whether any byte reached the response, after which
+// an error can no longer become a status.
+type sentWriter struct {
+	http.ResponseWriter
+	sent bool
+}
+
+func (w *sentWriter) Write(p []byte) (int, error) {
+	w.sent = true
+	return w.ResponseWriter.Write(p)
 }
 
 // handleDesigns lists the design names a job may target at the server's

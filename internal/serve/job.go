@@ -58,8 +58,11 @@ type Job struct {
 	Err      string
 
 	result *Result
-	cancel context.CancelFunc
-	done   chan struct{} // closed on entering a terminal state
+	// persisted marks that results/<id>.json holds the job's result
+	// document, from which a state-dir server serves it.
+	persisted bool
+	cancel    context.CancelFunc
+	done      chan struct{} // closed on entering a terminal state
 }
 
 // Wait blocks until the job reaches a terminal state or ctx expires.
@@ -141,9 +144,8 @@ func (s *Server) Status(job *Job) JobStatus {
 }
 
 // Result returns the job's result document once done; ok is false before
-// the job reaches StateDone. On a server restarted from a state dir the
-// in-memory document may be gone — the HTTP layer then serves the
-// persisted results/<id>.json instead.
+// the job reaches StateDone. A job reloaded from a state dir has only its
+// persisted results/<id>.json, which the HTTP layer serves.
 func (s *Server) Result(job *Job) (*Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

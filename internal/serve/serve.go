@@ -28,17 +28,20 @@
 //
 // With Options.StateDir set, every job transition is persisted as
 // jobs/<id>.json and every result as results/<id>.json under the
-// directory. A restarted server reloads the directory: terminal jobs keep
-// their states and results, pending jobs are re-enqueued and run again,
-// and jobs that were running when the process died are marked
-// "interrupted" (the client resubmits). Without a state dir the server is
-// memory-only.
+// directory. A job's result document is on disk before the job turns
+// done, and GET /jobs/{id}/result serves that file as it lies. A restarted
+// server reloads the directory: terminal jobs keep their states and
+// results, pending jobs are re-enqueued and run again, and jobs that were
+// running when the process died are marked "interrupted" (the client
+// resubmits). Without a state dir the server is memory-only and encodes
+// each result as it serves it.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"runtime/debug"
 	"sync"
@@ -391,7 +394,21 @@ func (s *Server) runOne(job *Job) {
 // finish moves a running job to its terminal state and persists it. Late
 // calls for an already-terminal job (the detached goroutine of a cancelled
 // run completing) are discarded.
+//
+// A done job's result document is written to results/<id>.json before
+// the job turns done and job.done closes, so on a state-dir server every
+// visible done job has its document on disk, and the HTTP layer serves it
+// from there. A failed write is logged; the job keeps its in-memory
+// result, which the HTTP layer then serves instead.
 func (s *Server) finish(job *Job, res *Result, err error) {
+	persisted := false
+	if err == nil && s.opts.StateDir != "" {
+		perr := writeAtomic(s.resultPath(job.ID), func(w io.Writer) error { return writeResult(w, res) })
+		if perr != nil {
+			s.o.Log().Warn("persist result failed", "job", job.ID, "err", perr)
+		}
+		persisted = perr == nil
+	}
 	s.mu.Lock()
 	if job.State != StateRunning {
 		s.mu.Unlock()
@@ -403,6 +420,7 @@ func (s *Server) finish(job *Job, res *Result, err error) {
 	case err == nil:
 		job.State = StateDone
 		job.result = res
+		job.persisted = persisted
 		counter = "serve.jobs.done"
 	case errors.Is(err, context.Canceled) && s.baseCtx.Err() != nil:
 		job.State = StateInterrupted
@@ -420,9 +438,6 @@ func (s *Server) finish(job *Job, res *Result, err error) {
 	state := job.State
 	close(job.done)
 	s.mu.Unlock()
-	if state == StateDone {
-		s.saveResult(job)
-	}
 	s.saveJob(job)
 	s.o.Metrics().Counter(counter).Inc()
 	s.o.Log().Info("job finished", "job", job.ID, "state", string(state),

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,7 +24,8 @@ type record struct {
 	Finished time.Time `json:"finished,omitempty"`
 	Error    string    `json:"error,omitempty"`
 	// HasResult marks that results/<id>.json was written before this
-	// record went done.
+	// record went done; a done record without it lost its document to a
+	// failed write.
 	HasResult bool `json:"has_result,omitempty"`
 }
 
@@ -51,38 +53,12 @@ func (s *Server) saveJob(job *Job) {
 		Started:   job.Started,
 		Finished:  job.Finished,
 		Error:     job.Err,
-		HasResult: job.State == StateDone,
+		HasResult: job.persisted,
 	}
 	s.mu.Unlock()
 	if err := writeJSONAtomic(filepath.Join(s.jobsDir(), job.ID+".json"), rec); err != nil {
 		s.o.Log().Warn("persist job record failed", "job", job.ID, "err", err)
 	}
-}
-
-// saveResult persists a done job's result document. It runs before the
-// done record is written, so a record with HasResult always has its file.
-func (s *Server) saveResult(job *Job) {
-	if s.opts.StateDir == "" {
-		return
-	}
-	s.mu.Lock()
-	res := job.result
-	s.mu.Unlock()
-	if res == nil {
-		return
-	}
-	if err := writeJSONAtomic(s.resultPath(job.ID), res); err != nil {
-		s.o.Log().Warn("persist result failed", "job", job.ID, "err", err)
-	}
-}
-
-// loadResultRaw reads a persisted result document's bytes for a job whose
-// in-memory result is gone (server restarted after the job finished).
-func (s *Server) loadResultRaw(id string) ([]byte, error) {
-	if s.opts.StateDir == "" {
-		return nil, os.ErrNotExist
-	}
-	return os.ReadFile(s.resultPath(id))
 }
 
 // loadState reloads the state directory into the registry and returns the
@@ -130,6 +106,8 @@ func (s *Server) loadState() ([]*Job, error) {
 			Finished: rec.Finished,
 			Err:      rec.Error,
 			done:     make(chan struct{}),
+			// A done job's document now lives only in the state dir.
+			persisted: rec.HasResult,
 		}
 		switch rec.State {
 		case StatePending:
@@ -174,15 +152,33 @@ func idNumber(id string) int {
 	return n
 }
 
-// writeJSONAtomic writes v to path via a temp file + rename, so readers
-// (and crashed writers) never observe a torn document.
+// writeJSONAtomic writes v to path as indented JSON, atomically.
 func writeJSONAtomic(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	return writeAtomic(path, func(w io.Writer) error {
+		data, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(append(data, '\n'))
+		return err
+	})
+}
+
+// writeAtomic writes path through write via a temp file + rename, so
+// readers (and crashed writers) never observe a torn document. A failed
+// write leaves no file.
+func writeAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)
