@@ -1,13 +1,7 @@
 // Command benchgen generates the synthetic benchmark suite and prints its
 // vital statistics: per-design sizes, trunk-layer populations, and v-pin
 // counts per split layer — the quantities that determine attack difficulty.
-//
-// It also owns the repository's perf baselines: -scoring-bench / -train-bench
-// measure pair-scoring throughput and the train-once/score-many trade and
-// write them to BENCH_scoring.json / BENCH_train.json, and -check reruns
-// those measurements against the committed baselines and fails on
-// regression beyond -tolerance (see check.go for what is gated exactly vs.
-// by same-machine ratio). CI runs the -check gate on every push.
+// -o additionally writes every design as a <design>.sml layout file.
 //
 // Observability is opt-in: -v streams structured span logs to stderr
 // (-log-format text|json), -report writes a JSON run report with
@@ -34,31 +28,7 @@ func main() {
 	fs := flag.NewFlagSet("benchgen", flag.ExitOnError)
 	app := cli.New("benchgen", fs)
 	out := fs.String("o", "", "directory to write <design>.sml files to")
-	scoringBench := fs.String("scoring-bench", "",
-		"measure pair-scoring throughput (scalar oracle vs batched arena) on the generated suite and write the baseline JSON to this file, e.g. BENCH_scoring.json")
-	trainBench := fs.String("train-bench", "",
-		"measure cold-train vs warm artifact-load timings on the generated suite and write the baseline JSON to this file, e.g. BENCH_train.json")
-	check := fs.Bool("check", false,
-		"perf gate: rerun the benches and fail on regression against the committed baselines (paths from -scoring-bench/-train-bench, defaulting to BENCH_scoring.json/BENCH_train.json)")
-	tolerance := fs.Float64("tolerance", 0.5,
-		"-check tolerance on same-machine ratio metrics: speedups may drop to baseline*(1-t), allocation rates may grow to baseline*(1+t); exact fields always must match")
 	o := app.Parse(os.Args[1:])
-
-	if *check {
-		scoringPath, trainPath := *scoringBench, *trainBench
-		if scoringPath == "" {
-			scoringPath = "BENCH_scoring.json"
-		}
-		if trainPath == "" {
-			trainPath = "BENCH_train.json"
-		}
-		if err := runCheck(o, app.Workers(), scoringPath, trainPath, *tolerance); err != nil {
-			cli.Fatal(err)
-		}
-		app.Finish(o, map[string]any{"check": true, "tolerance": *tolerance},
-			map[string]any{"perf_gate": "pass"})
-		return
-	}
 
 	designs, err := layout.GenerateSuiteObs(o, layout.SuiteConfig{
 		Tier: app.Tier, Scale: app.Scale, Seed: app.Seed, Workers: app.Workers()})
@@ -138,44 +108,6 @@ func main() {
 		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%d\n", d.Name, dt.MeanDelay, dt.MaxDelay, dt.OverloadedDrivers)
 	}
 	tw.Flush()
-
-	// Both baselines measure the standard suite; the industrial tier is
-	// measured once (its own suite, its own memory-bounded configuration)
-	// and contributes a section to each document.
-	var indScoring *industrialScoringEntry
-	var indTrain *industrialTrainEntry
-	if *scoringBench != "" || *trainBench != "" {
-		fmt.Println("\nmeasuring industrial tier (single fold; takes a few minutes)...")
-		indScoring, indTrain, err = measureIndustrial(o, app.Workers(), app.Scale, app.Seed)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		fmt.Printf("industrial %s: %d cells, %d v-pins, %d regions, peak heap %.0f MB, est. full LOO %.0fs\n",
-			indScoring.Design, indScoring.Cells, indScoring.VPins, indScoring.Regions,
-			float64(indScoring.PeakHeapBytes)/1e6, indScoring.EstimatedLooS)
-	}
-	if *scoringBench != "" {
-		doc, err := measureScoring(designs, app.Scale, app.Seed)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		doc.Industrial = indScoring
-		if err := writeBaseline(*scoringBench, doc); err != nil {
-			cli.Fatal(err)
-		}
-		fmt.Printf("\nwrote scoring baseline to %s\n", *scoringBench)
-	}
-	if *trainBench != "" {
-		doc, err := measureTrain(designs, app.Scale, app.Seed)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		doc.Industrial = indTrain
-		if err := writeBaseline(*trainBench, doc); err != nil {
-			cli.Fatal(err)
-		}
-		fmt.Printf("\nwrote training baseline to %s\n", *trainBench)
-	}
 
 	summary := map[string]any{"designs": designStats}
 	app.Finish(o, nil, summary)

@@ -3,6 +3,7 @@ package attack
 import (
 	"fmt"
 
+	"repro/internal/features"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -50,6 +51,9 @@ func RunTargetArtifact(cfg Config, insts []*Instance, target int, art *model.Art
 		return nil, 0, fmt.Errorf("attack: artifact %.12s (config %s, seed %d) does not match this run's spec %.12s (config %s, target %s, seed %d): train and attack must agree on designs, configuration, and seed",
 			art.Meta.SpecHash, art.Meta.Config, art.Meta.Seed,
 			h, cfg.Name, insts[target].Ch.Design.Name, cfg.Seed)
+	}
+	if err := art.CheckWidth(features.Width(cfg.Features)); err != nil {
+		return nil, 0, fmt.Errorf("attack: %w", err)
 	}
 	o := cfg.Obs
 	sp := o.Begin("target", obs.F("design", insts[target].Ch.Design.Name),

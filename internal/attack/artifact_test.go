@@ -1,10 +1,15 @@
 package attack
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/ml"
 	"repro/internal/model"
 )
 
@@ -114,5 +119,87 @@ func TestArtifactSpecMismatchRejected(t *testing.T) {
 	wrongSeed.Seed = 43
 	if _, _, err := RunTargetArtifact(wrongSeed, insts, 0, art); err == nil {
 		t.Fatal("artifact for seed 42 accepted by a seed-43 run")
+	}
+}
+
+// wideDataset is a separable dataset whose label lives in feature column
+// 40, far past any configuration's row width.
+func wideDataset() *ml.Dataset {
+	r := rand.New(rand.NewSource(7))
+	ds := &ml.Dataset{}
+	for i := 0; i < 200; i++ {
+		x := make([]float64, 41)
+		x[40] = r.Float64()
+		ds.Add(x, x[40] > 0.5)
+	}
+	return ds
+}
+
+// forgeArtifact wraps a level-1 payload in a well-formed artifact
+// container carrying meta, checksum included.
+func forgeArtifact(t *testing.T, meta model.Meta, l1 []byte) *model.Artifact {
+	t.Helper()
+	metaBlob, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := binary.LittleEndian.AppendUint16([]byte("SPLITMDL"), model.ArtifactCodecVersion)
+	for _, blob := range [][]byte{metaBlob, l1, nil} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
+		buf = append(buf, blob...)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	art, err := model.UnmarshalArtifact(buf)
+	if err != nil {
+		t.Fatalf("forged artifact does not decode: %v", err)
+	}
+	return art
+}
+
+// TestArtifactWiderThanSpecRejected forges bagging and MLP artifacts that
+// carry the run's spec hash but whose model reads feature column 40: the
+// codec accepts them, and the attack must refuse them before scoring.
+func TestArtifactWiderThanSpecRejected(t *testing.T) {
+	insts := NewInstancesWorkers(challenges(t, 8), 0)
+	bag, err := ml.TrainBagging(wideDataset(), 2, ml.TreeOptions{Features: []int{40}}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn, err := ml.TrainMLP(wideDataset(), ml.MLPOptions{Features: []int{40}, Epochs: 1}, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mlp := DLMLP()
+	mlp.MLPEpochs = 1
+	for _, tc := range []struct {
+		cfg     Config
+		payload interface{ MarshalBinary() ([]byte, error) }
+	}{
+		{Imp11(), bag.Compile()},
+		{mlp, nn},
+	} {
+		cfg := tc.cfg
+		cfg.Seed = 42
+		spec, _, err := TrainSpec(cfg, insts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		genuine, _, err := model.Train(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := tc.payload.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := forgeArtifact(t, genuine.Meta, blob)
+		if _, _, err := RunTargetArtifact(cfg, insts, 0, forged); err == nil {
+			t.Fatalf("%s: artifact reading column 40 accepted", cfg.Name)
+		} else if !strings.Contains(err.Error(), "column 40") {
+			t.Fatalf("%s: width error %q does not name the column", cfg.Name, err)
+		}
+		if _, _, err := RunTargetArtifact(cfg, insts, 0, genuine); err != nil {
+			t.Fatalf("%s: genuine artifact refused: %v", cfg.Name, err)
+		}
 	}
 }

@@ -28,7 +28,7 @@ func challenges(t testing.TB, layer int) []*split.Challenge {
 			return
 		}
 		fixChs = map[int][]*split.Challenge{}
-		for _, layer := range []int{6, 8} {
+		for _, layer := range []int{4, 6, 8} {
 			for _, d := range designs {
 				c, err := split.NewChallenge(d, layer)
 				if err != nil {

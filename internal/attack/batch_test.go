@@ -1,24 +1,75 @@
 package attack
 
-// Batch/scalar equivalence: the batched flat-arena scoring path must be a
-// pure performance change. Every test here compares Config.ScalarScoring
-// (the per-pair Bagging.Prob oracle) against the default batched path and
-// requires bit-identical Evaluations.
+// Batch/row equivalence: the batched flat-arena scoring path must be a pure
+// performance change. The oracle is the same trained model behind
+// probOnly, which the backend resolver can only score row by row through
+// Prob — a two-level model through TwoLevel.Prob's gate — and every test
+// here requires bit-identical Evaluations.
 
 import (
 	"fmt"
 	"testing"
 
 	"repro/internal/features"
+	"repro/internal/ml"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pairs"
 )
 
+// probOnly hides a model's ProbBatch (and, for a two-level model, its
+// levels), so the resolver adapts the whole model to score one row at a
+// time through Prob: the oracle the batched path is checked against.
+type probOnly struct{ Scorer }
+
+// probOnlyFamily is the bagging family with every model it trains behind
+// probOnly. A configuration naming it trains the same trees, and scores
+// them row by row, also in stages that train their own models, such as the
+// proximity attack's validation.
+type probOnlyFamily struct{ model.Family }
+
+const probOnlyFamilyName = "bagging-prob-only"
+
+func (probOnlyFamily) Name() string { return probOnlyFamilyName }
+
+func (f probOnlyFamily) Train(ctx model.TrainContext, ds *ml.Dataset) (pairs.Scorer, error) {
+	sc, err := f.Family.Train(ctx, ds)
+	if err != nil {
+		return nil, err
+	}
+	return probOnly{sc}, nil
+}
+
+func init() {
+	bagging, err := model.FamilyByName(model.FamilyBagging)
+	if err != nil {
+		panic(err)
+	}
+	model.Register(probOnlyFamily{bagging})
+}
+
+// runOracleLOO is cfg's leave-one-out through RunFolds with every fold's
+// trained model behind probOnly.
+func runOracleLOO(cfg Config, insts []*Instance) (*Result, error) {
+	cfg = cfg.withDefaults()
+	return RunFolds(cfg, insts, func(fold, _ int, _ *obs.Span) (*Evaluation, float64, error) {
+		spec, radius, err := TrainSpec(cfg, insts, fold)
+		if err != nil {
+			return nil, 0, err
+		}
+		art, _, err := model.Train(spec)
+		if err != nil {
+			return nil, 0, err
+		}
+		return scoreTarget(probOnly{art.Scorer()}, insts[fold], cfg, radius), radius, nil
+	})
+}
+
 // TestBatchScoringMatchesScalar is the tentpole equivalence guarantee:
 // full leave-one-out runs through the batch path are byte-identical to the
-// scalar oracle — candidate lists, truth probabilities, pair counts — for
-// plain, neighborhood, two-level, and Y configurations, at any worker
-// count.
+// row-by-row oracle — candidate lists, truth probabilities, pair counts,
+// digests — for plain, neighborhood, two-level, and Y configurations, at
+// any worker count.
 func TestBatchScoringMatchesScalar(t *testing.T) {
 	cases := []struct {
 		cfg   Config
@@ -31,18 +82,12 @@ func TestBatchScoringMatchesScalar(t *testing.T) {
 	}
 	for _, tc := range cases {
 		insts := NewInstancesWorkers(challenges(t, tc.layer), 0)
-		scalar := tc.cfg
-		scalar.Seed = 11
-		scalar.Workers = 1
-		scalar.ScalarScoring = true
-		want, err := runLOO(scalar, challenges(t, tc.layer))
+		oracle := tc.cfg
+		oracle.Seed = 11
+		oracle.Workers = 1
+		want, err := runOracleLOO(oracle, insts)
 		if err != nil {
-			t.Fatalf("%s scalar: %v", tc.cfg.Name, err)
-		}
-		for _, ev := range want.Evals {
-			if ev.Batches != 0 || ev.BatchRows != 0 {
-				t.Fatalf("%s: scalar path reported %d batches", tc.cfg.Name, ev.Batches)
-			}
+			t.Fatalf("%s oracle: %v", tc.cfg.Name, err)
 		}
 		for _, w := range []int{1, 3} {
 			batch := tc.cfg
@@ -56,9 +101,9 @@ func TestBatchScoringMatchesScalar(t *testing.T) {
 			sameResult(t, label, want, got)
 			for i := range got.Evals {
 				a, b := want.Evals[i], got.Evals[i]
-				if a.PairsScored != b.PairsScored {
-					t.Fatalf("%s: target %d scored %d pairs, scalar %d",
-						label, i, b.PairsScored, a.PairsScored)
+				if a.PairsScored != b.PairsScored || a.Digest() != b.Digest() {
+					t.Fatalf("%s: target %d scored %d pairs to digest %.12s, oracle %d to %.12s",
+						label, i, b.PairsScored, b.Digest(), a.PairsScored, a.Digest())
 				}
 				if b.Batches == 0 {
 					t.Fatalf("%s: target %d never used the batch path", label, i)
@@ -115,8 +160,9 @@ func level2Rows(t *testing.T, cfg Config, insts []*Instance, fold int) int64 {
 }
 
 // TestBatchProximityMatchesScalar extends the equivalence to the proximity
-// attack: its validation stage scores held-out v-pins through scoreSubset
-// and must be unaffected by the scoring path.
+// attack: its validation stage trains its own models and scores held-out
+// v-pins through scoreSubset, and must be unaffected by the scoring path.
+// The prob-only family reaches those models.
 func TestBatchProximityMatchesScalar(t *testing.T) {
 	insts := NewInstancesWorkers(challenges(t, 8), 0)
 	cfg := Imp9()
@@ -130,9 +176,7 @@ func TestBatchProximityMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := cfg
-	sc.ScalarScoring = true
-	scalar, err := RunProximityOnInstances(sc, insts, prior)
+	scalar, err := RunProximityOnInstances(WithFamily(cfg, probOnlyFamilyName), insts, prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,29 +184,27 @@ func TestBatchProximityMatchesScalar(t *testing.T) {
 		// Durations are measurements, not results; compare everything else.
 		if batch[i].Design != scalar[i].Design || batch[i].Success != scalar[i].Success ||
 			batch[i].FixedSuccess != scalar[i].FixedSuccess || batch[i].BestFrac != scalar[i].BestFrac {
-			t.Fatalf("PA outcome %d differs: batch %+v vs scalar %+v", i, batch[i], scalar[i])
+			t.Fatalf("PA outcome %d differs: batch %+v vs row oracle %+v", i, batch[i], scalar[i])
 		}
 	}
 }
 
-// TestScalarFamilyFallsBackToScalar: the logistic family trains a plain
-// Scorer with no ProbBatch; the engine must quietly fall back to per-pair
-// Prob.
-func TestScalarFamilyFallsBackToScalar(t *testing.T) {
+// TestProbOnlyFamilyRowAdapted: the logistic family trains a plain Scorer
+// with no ProbBatch; the backend adapts it to score the gathered rows one
+// by one, and the counters read the rows it scored, once per admitted
+// pair, as for every batch-capable model.
+func TestProbOnlyFamilyRowAdapted(t *testing.T) {
 	chs := challenges(t, 8)
 	cfg := WithFamily(Imp9(), model.FamilyLogistic)
-	cfg.Name = "Imp-9-logistic-fallback"
+	cfg.Name = "Imp-9-logistic-adapted"
 	cfg.Seed = 8
 	ev, _, err := runFold(cfg, chs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Batches != 0 || ev.BatchRows != 0 {
-		t.Fatalf("scalar-family run reported %d batches / %d rows; expected the scalar fallback",
-			ev.Batches, ev.BatchRows)
-	}
-	if ev.PairsScored == 0 {
-		t.Fatal("fallback path scored nothing")
+	if ev.PairsScored == 0 || ev.Batches == 0 || 2*ev.BatchRows != ev.PairsScored {
+		t.Fatalf("logistic run counted %d batches / %d rows for %d pairs; want every admitted pair scored once",
+			ev.Batches, ev.BatchRows, ev.PairsScored)
 	}
 }
 
@@ -217,9 +259,6 @@ func TestBatchGatherScoreAllocFree(t *testing.T) {
 		}
 		sc := art.Scorer()
 		backend := pairs.ResolveBackend(sc, false)
-		if !pairs.Batched(backend) {
-			t.Fatalf("%s: trained model is not batchable", cfg.Name)
-		}
 		inst := insts[0]
 		filter := newPairFilter(inst, cfg, radius)
 		var g pairs.Gatherer

@@ -1,11 +1,11 @@
 package attack
 
-// Benchmarks for the candidate pair-scoring hot path: the scalar oracle
-// (per-pair Scorer.Prob calls on the compiled arena, selected by
-// Config.ScalarScoring) against the batched flat-arena path (gather into
+// Benchmarks for the candidate pair-scoring hot path: the row-by-row
+// oracle (the compiled model behind probOnly, scored through per-pair
+// Scorer.Prob calls) against the batched flat-arena path (gather into
 // per-worker buffers, one ml.Ensemble.ProbBatch call per v-pin and model
-// level). Both paths produce bit-identical Evaluations — batch_test.go
-// proves it — so these benchmarks compare pure throughput.
+// level). Both produce bit-identical Evaluations — batch_test.go proves
+// it — so these benchmarks compare pure throughput.
 //
 // The pairs/s metric is the one to read: ns/op varies with the fixture's
 // candidate counts, pairs/s does not.
@@ -38,8 +38,10 @@ func benchScoreTarget(b *testing.B, cfg Config, scalar bool) {
 	cfg = cfg.withDefaults()
 	cfg.Seed = 1
 	cfg.Workers = 1
-	cfg.ScalarScoring = scalar
 	model, inst, radius := benchAttackModel(b, cfg, 6)
+	if scalar {
+		model = probOnly{model}
+	}
 	b.ResetTimer()
 	var scored int64
 	for i := 0; i < b.N; i++ {

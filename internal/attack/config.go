@@ -90,12 +90,6 @@ type Config struct {
 	// consumers (figure-of-merit, threshold sweeps) see a per-list
 	// probability distribution instead of raw classifier outputs.
 	Ranking bool
-	// ScalarScoring disables the batched scoring fast path: the trained
-	// Bagging is used directly through per-pair Scorer.Prob calls instead
-	// of being compiled into an ml.Ensemble arena. Results are bit-identical
-	// either way; the scalar path exists as the correctness oracle and for
-	// benchmarking the batch path against it.
-	ScalarScoring bool
 	// Seed is the root of all randomness of a run. Every random decision —
 	// training-set sampling, tree induction, level-2 negative draws,
 	// proximity validation splits — draws from an independent stream
@@ -126,8 +120,8 @@ type Scorer = pairs.Scorer
 
 // BatchScorer is a Scorer that can score a whole row-major feature matrix
 // in one call; see pairs.BatchScorer for the contract. The engine scores
-// each v-pin's gathered candidates through this fast path; scalar-only
-// families fall back to per-pair Prob calls over the same gathered arena.
+// each v-pin's gathered candidates through it; a Prob-only family's model
+// is adapted to score the same gathered arena row by row.
 type BatchScorer = pairs.BatchScorer
 
 var (
@@ -157,7 +151,6 @@ func (c Config) TrainOptions() model.TrainOptions {
 		MLPHidden:        c.MLPHidden,
 		MLPEpochs:        c.MLPEpochs,
 		MLPRate:          c.MLPRate,
-		ScalarScoring:    c.ScalarScoring,
 		ShardVpins:       c.ShardVpins,
 	}
 }

@@ -111,11 +111,10 @@ func scoreTarget(model Scorer, inst *Instance, cfg Config, radiusNorm float64) *
 // Scoring rides pairs.ScoreLists, the shared region-streamed engine: the
 // targets are sharded by spatial region of the v-pin index, each admitted
 // pair of two targets is scored once and retained into both lists, and the
-// backend pairs.ResolveBackendObs picked — the batched flat-arena engine
-// when the model supports it, the per-row scalar oracle otherwise (or
-// under cfg.ScalarScoring), wrapped in the list-wise ranking head when
-// cfg.Ranking — scores each gathered arena. Retention is order-free, so the
-// Evaluation is bit-identical at any worker count and any shard size.
+// model's batched backend (pairs.ResolveBackend), wrapped in the list-wise
+// ranking head when cfg.Ranking, scores each gathered arena. Retention is
+// order-free, so the Evaluation is bit-identical at any worker count and
+// any shard size.
 // TruthP comes from ScoreLists, which takes it when the true pair is
 // scored, so it survives even when the truth falls outside the retained
 // bound.
@@ -136,7 +135,7 @@ func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, s
 		ev.Truth[a] = int32(inst.Match(a))
 	}
 
-	backend := pairs.ResolveBackendObs(cfg.Obs, model, cfg.ScalarScoring)
+	backend := pairs.ResolveBackend(model, false)
 	if cfg.Ranking {
 		backend = pairs.Ranked(backend)
 	}

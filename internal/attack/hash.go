@@ -15,9 +15,9 @@ import (
 // into every Evaluation), the feature set, the sampling and pruning
 // refinements, the base classifier, and the retention bounds. Fields that
 // are documented not to change results — Seed (a run input, not a config
-// property), Workers, ShardVpins, ScalarScoring, observability, and the
-// model store — are excluded, so two configs with equal hashes run to
-// bit-identical evaluations given the same instances, seed, and fold.
+// property), Workers, ShardVpins, observability, and the model store — are
+// excluded, so two configs with equal hashes run to bit-identical
+// evaluations given the same instances, seed, and fold.
 //
 // The sweep layer uses this hash as the config coordinate of its
 // content-addressed work units. Every learner family serializes its

@@ -30,9 +30,8 @@ func TestOptionsHashIgnoresRunInputs(t *testing.T) {
 	b.Seed = 42
 	b.Workers = 7
 	b.ShardVpins = 128
-	b.ScalarScoring = true
 	if a.OptionsHash() != b.OptionsHash() {
-		t.Error("run inputs (seed/workers/sharding/scalar) changed the options hash")
+		t.Error("run inputs (seed/workers/sharding) changed the options hash")
 	}
 	c := Imp11()
 	c.NumTrees = 3

@@ -12,8 +12,9 @@ import (
 
 // Industrial-tier smoke fixture: the sbx* suite at a small scale, so the
 // streamed scoring path, the absolute retention cap, and the tier plumbing
-// are all exercised in seconds rather than minutes. The full-size tier is
-// validated by cmd/benchgen's industrial baseline.
+// are all exercised in seconds rather than minutes. The golden table pins
+// fold 0 of this suite; the full-size tier is checked by splitbench's
+// industrial-l4 workload against its digests.
 var (
 	indOnce sync.Once
 	indErr  error

@@ -222,8 +222,9 @@ func TestIndustrialDieGrowth(t *testing.T) {
 }
 
 // TestGenerateIndustrialTiny generates the industrial tier at a small scale
-// end to end: the designs must be valid and carry the sbx names. (Full-size
-// generation is exercised by cmd/benchgen and the attack smoke test.)
+// end to end: the designs must be valid and carry the sbx names. (The
+// attack package's golden table pins the small suite's layout bytes;
+// full-size generation runs in splitbench's industrial-l4 workload.)
 func TestGenerateIndustrialTiny(t *testing.T) {
 	designs, err := GenerateSuite(SuiteConfig{Tier: TierIndustrial, Scale: 0.03, Seed: 7})
 	if err != nil {

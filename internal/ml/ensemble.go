@@ -70,6 +70,16 @@ func (e *Ensemble) Trees() int { return len(e.roots) }
 // Nodes returns the total node count of the arena.
 func (e *Ensemble) Nodes() int { return len(e.nodes) }
 
+// Width returns the feature-row width the ensemble reads: one past the
+// highest feature column any split tests (0 for an all-leaf arena).
+func (e *Ensemble) Width() int {
+	w := 0
+	for i := range e.nodes {
+		w = max(w, int(e.nodes[i].feature)+1)
+	}
+	return w
+}
+
 // Prob returns the soft-voting ensemble probability p(x) in [0, 1],
 // bit-identical to the source Bagging's Prob.
 func (e *Ensemble) Prob(x []float64) float64 {

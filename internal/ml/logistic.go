@@ -151,6 +151,19 @@ func (lg *Logistic) Prob(x []float64) float64 {
 // Predict applies threshold t.
 func (lg *Logistic) Predict(x []float64, t float64) bool { return lg.Prob(x) >= t }
 
+// Width returns the feature-row width the model reads: one past its
+// highest input column.
+func (lg *Logistic) Width() int { return width(lg.features) }
+
+// width is one past the highest of the feature columns (0 for none).
+func width(features []int) int {
+	w := 0
+	for _, f := range features {
+		w = max(w, f+1)
+	}
+	return w
+}
+
 // Weights returns the learned weights over standardised features, aligned
 // with the trained feature subset — interpretable importance signs.
 func (lg *Logistic) Weights() ([]int, []float64) {

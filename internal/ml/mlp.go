@@ -248,5 +248,9 @@ func (nn *MLP) ProbBatch(rows []float64, stride int, out []float64) {
 // Hidden returns the hidden-layer width.
 func (nn *MLP) Hidden() int { return nn.hidden }
 
+// Width returns the feature-row width the network reads: one past its
+// highest input column.
+func (nn *MLP) Width() int { return width(nn.features) }
+
 // Features returns the feature subset the network scores.
 func (nn *MLP) Features() []int { return append([]int(nil), nn.features...) }

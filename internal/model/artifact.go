@@ -73,6 +73,22 @@ func (a *Artifact) Scorer() pairs.Scorer {
 	return a.l1
 }
 
+// CheckWidth refuses an artifact whose model reads a feature column at or
+// past width, the row width its spec scores (features.Width of the spec's
+// feature set): scoring it would read other rows' features or panic. The
+// codecs check an artifact's structure but cannot know the width it will
+// meet, so every consumer of a stored artifact checks it against its spec.
+func (a *Artifact) CheckWidth(width int) error {
+	for level, sc := range []pairs.Scorer{a.l1, a.l2} {
+		m, ok := sc.(interface{ Width() int })
+		if ok && m.Width() > width {
+			return fmt.Errorf("model: artifact %.12s: level-%d model reads feature column %d, past the spec's row width %d",
+				a.Meta.SpecHash, level+1, m.Width()-1, width)
+		}
+	}
+	return nil
+}
+
 // Ensembles returns the compiled arenas, with ok false for families that
 // do not train ensembles (level2 is nil for one-level artifacts).
 func (a *Artifact) Ensembles() (level1, level2 *ml.Ensemble, ok bool) {

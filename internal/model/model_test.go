@@ -5,11 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/features"
 	"repro/internal/layout"
+	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/pairs"
 	"repro/internal/split"
@@ -103,7 +105,7 @@ func TestSpecHashSensitivity(t *testing.T) {
 	// results are identical regardless, so they would only fragment the cache.
 	for name, mutate := range map[string]func(*Spec){
 		"name":    func(s *Spec) { s.Opts.Name = "renamed" },
-		"scalar":  func(s *Spec) { s.Opts.ScalarScoring = true },
+		"shard":   func(s *Spec) { s.Opts.ShardVpins = 64 },
 		"workers": func(s *Spec) { s.Workers = 7 },
 	} {
 		s := base
@@ -334,6 +336,35 @@ func TestStoreLevel1SharedWithTwoLevel(t *testing.T) {
 	}
 }
 
+// probOnly hides a model's ProbBatch, so the backend resolver scores it
+// row by row through Prob: the oracle of the batched path.
+type probOnly struct{ pairs.Scorer }
+
+// TestCandidateListsMatchRowOracle: the level-1 lists the two-level stage
+// draws its negatives from are the same whether the level-1 model scores
+// through its own ProbBatch or row by row through Prob.
+func TestCandidateListsMatchRowOracle(t *testing.T) {
+	opts := imp11Opts()
+	opts.TwoLevel = true
+	spec := testSpec(t, opts)
+	l1, _, err := trainLevel1(spec.Level1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, inst := range spec.Insts {
+		want := candidateLists(spec, inst, probOnly{l1.l1}, 1)
+		got := candidateLists(spec, inst, l1.l1, 2)
+		if len(got) != len(want) {
+			t.Fatalf("design %d: %d lists, oracle %d", i, len(got), len(want))
+		}
+		for a := range want {
+			if !slices.Equal(got[a], want[a]) {
+				t.Fatalf("design %d v-pin %d: batched list differs from the row oracle", i, a)
+			}
+		}
+	}
+}
+
 func TestStoreDiskLayer(t *testing.T) {
 	o := obs.New(obs.Options{Command: "test"})
 	dir := t.TempDir()
@@ -386,6 +417,67 @@ func TestStoreDiskLayer(t *testing.T) {
 	wc, _ := c.MarshalBinary()
 	if string(wc) != string(wa) {
 		t.Fatal("retrained artifact not bit-identical")
+	}
+}
+
+// TestStoreRefusesArtifactWiderThanSpec plants forged bagging and MLP
+// artifacts under a spec's hash in the disk layer: each decodes and carries
+// the right spec hash, but its model reads feature column 40, past the
+// spec's row width. The store must treat it as a miss and train.
+func TestStoreRefusesArtifactWiderThanSpec(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	wide := &ml.Dataset{}
+	for i := 0; i < 200; i++ {
+		x := make([]float64, 41)
+		x[40] = r.Float64()
+		wide.Add(x, x[40] > 0.5)
+	}
+	bag, err := ml.TrainBagging(wide, 2, ml.TreeOptions{Features: []int{40}}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn, err := ml.TrainMLP(wide, ml.MLPOptions{Features: []int{40}, Epochs: 1}, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mlpOpts := imp11Opts()
+	mlpOpts.Family = FamilyMLP
+	mlpOpts.MLPEpochs = 1
+	for _, tc := range []struct {
+		opts   TrainOptions
+		forged pairs.Scorer
+	}{
+		{imp11Opts(), bag.Compile()},
+		{mlpOpts, nn},
+	} {
+		dir := t.TempDir()
+		spec := testSpec(t, tc.opts)
+		genuine, _, err := Train(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := &Artifact{Meta: genuine.Meta, l1: tc.forged}
+		if err := forged.WriteFile(filepath.Join(dir, spec.Hash()+".model")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(filepath.Join(dir, spec.Hash()+".model")); err != nil {
+			t.Fatalf("%s: forged artifact does not decode: %v", tc.opts.Family, err)
+		}
+		if err := forged.CheckWidth(features.Width(spec.Opts.Features)); err == nil {
+			t.Fatalf("%s: CheckWidth accepted a model reading column 40", tc.opts.Family)
+		}
+		got, stats, err := NewStore(0, dir).GetOrTrain(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Level1 == 0 {
+			t.Fatalf("%s: store served the forged artifact instead of training", tc.opts.Family)
+		}
+		wg, _ := genuine.MarshalBinary()
+		wt, _ := got.MarshalBinary()
+		if string(wg) != string(wt) {
+			t.Fatalf("%s: trained artifact differs from the genuine one", tc.opts.Family)
+		}
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 
 // TrainOptions is the training-relevant slice of an attack configuration:
 // everything that influences the trained model's bits, plus the unhashed
-// presentation fields (Name) and execution fields (ScalarScoring,
-// ShardVpins). attack.Config projects into this struct, so the options live
-// in one place instead of being re-derived by every training stage.
+// presentation field (Name) and execution field (ShardVpins). attack.Config
+// projects into this struct, so the options live in one place instead of
+// being re-derived by every training stage.
 type TrainOptions struct {
 	// Name labels the configuration in logs and artifact metadata. It does
 	// not influence training and is excluded from spec hashes.
@@ -64,15 +64,10 @@ type TrainOptions struct {
 	MLPHidden int
 	MLPEpochs int
 	MLPRate   float64
-	// ScalarScoring forces the per-pair scalar oracle when the level-2
-	// stage scores training designs with the level-1 model. Results are
-	// bit-identical either way (the documented Ensemble/Bagging contract),
-	// so it is excluded from spec hashes.
-	ScalarScoring bool
 	// ShardVpins is the spatial-region size of the streamed candidate
 	// scoring the level-2 stage runs over the training designs (0 = auto).
-	// Results are bit-identical for every value, so like ScalarScoring it
-	// is an execution knob excluded from spec hashes.
+	// Results are bit-identical for every value, so it is an execution
+	// knob excluded from spec hashes.
 	ShardVpins int
 }
 

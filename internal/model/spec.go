@@ -94,12 +94,12 @@ func (s Spec) Level1() Spec {
 
 // Hash is the spec's canonical content address: a SHA-256 over a versioned
 // serialization of every training-relevant field. Fields that cannot change
-// the trained bits — Name, Workers, ScalarScoring (the documented
-// scalar/batch bit-identity contract), observability — are excluded, so
-// presentation differences still hit the cache. The learner-specific
-// options are serialized by the spec's Family (HashOptions), whose bagging
-// implementation writes the exact bytes the pre-family format did — every
-// hash minted before the family axis existed is unchanged.
+// the trained bits — Name, Workers, ShardVpins, observability — are
+// excluded, so presentation and execution differences still hit the cache.
+// The learner-specific options are serialized by the spec's Family
+// (HashOptions), whose bagging implementation writes the exact bytes the
+// pre-family format did — every hash minted before the family axis existed
+// is unchanged.
 func (s Spec) Hash() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "model-spec/v1\n")

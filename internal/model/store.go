@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/features"
 	"repro/internal/obs"
 )
 
@@ -73,14 +74,15 @@ func (s *Store) GetOrTrain(spec Spec) (*Artifact, TrainStats, error) {
 	if s == nil {
 		return Train(spec)
 	}
+	width := features.Width(spec.Opts.Features)
 	l1Spec := spec.Level1()
-	l1, l1Stats, err := s.getOrDo(spec.Obs, l1Spec.Hash(), func() (*Artifact, TrainStats, error) {
+	l1, l1Stats, err := s.getOrDo(spec.Obs, l1Spec.Hash(), width, func() (*Artifact, TrainStats, error) {
 		return trainLevel1(l1Spec)
 	})
 	if err != nil || !spec.Opts.TwoLevel {
 		return l1, l1Stats, err
 	}
-	full, l2Stats, err := s.getOrDo(spec.Obs, spec.Hash(), func() (*Artifact, TrainStats, error) {
+	full, l2Stats, err := s.getOrDo(spec.Obs, spec.Hash(), width, func() (*Artifact, TrainStats, error) {
 		return TrainLevel2(spec, l1)
 	})
 	l1Stats.Level2 = l2Stats.Level2
@@ -89,8 +91,9 @@ func (s *Store) GetOrTrain(spec Spec) (*Artifact, TrainStats, error) {
 }
 
 // getOrDo returns the artifact cached under hash, or runs train once —
-// coalescing concurrent callers — and caches its result.
-func (s *Store) getOrDo(o *obs.Context, hash string,
+// coalescing concurrent callers — and caches its result. width is the row
+// width the spec scores, which a disk copy must fit.
+func (s *Store) getOrDo(o *obs.Context, hash string, width int,
 	train func() (*Artifact, TrainStats, error)) (*Artifact, TrainStats, error) {
 
 	cache := o.Metrics().Cache("model.artifacts")
@@ -116,7 +119,7 @@ func (s *Store) getOrDo(o *obs.Context, hash string,
 	s.inflight[hash] = fl
 	s.mu.Unlock()
 
-	if art, ok := s.loadDisk(hash); ok {
+	if art, ok := s.loadDisk(hash, width); ok {
 		cache.Lookup(true)
 		o.Metrics().Counter("model.artifacts.disk.hit").Inc()
 		s.finish(hash, fl, art, nil)
@@ -160,15 +163,16 @@ func (s *Store) diskPath(hash string) string {
 }
 
 // loadDisk probes the on-disk layer. A decodable artifact whose metadata
-// repeats the expected spec hash is served; anything else (missing,
-// corrupted, renamed) falls through to training.
-func (s *Store) loadDisk(hash string) (*Artifact, bool) {
+// repeats the expected spec hash and whose model fits the spec's row width
+// is served; anything else (missing, corrupted, renamed, forged) falls
+// through to training.
+func (s *Store) loadDisk(hash string, width int) (*Artifact, bool) {
 	path := s.diskPath(hash)
 	if path == "" {
 		return nil, false
 	}
 	art, err := LoadFile(path)
-	if err != nil || art.Meta.SpecHash != hash {
+	if err != nil || art.Meta.SpecHash != hash || art.CheckWidth(width) != nil {
 		return nil, false
 	}
 	return art, true

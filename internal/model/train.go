@@ -235,7 +235,7 @@ func candidateLists(spec Spec, inst *pairs.Instance, l1 pairs.Scorer, workers in
 	if c := spec.Opts.MaxLoCCount; c > 0 && c < capPer {
 		capPer = c
 	}
-	lists, _ := pairs.ScoreLists(filter, pairs.ResolveBackendObs(spec.Obs, l1, spec.Opts.ScalarScoring), pairs.StreamOptions{
+	lists, _ := pairs.ScoreLists(filter, pairs.ResolveBackend(l1, false), pairs.StreamOptions{
 		Cap:        capPer,
 		ShardVpins: spec.Opts.ShardVpins,
 		Workers:    workers,

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/features"
-	"repro/internal/obs"
 )
 
 // Gatherer is one scoring worker's reusable arena: it collects a v-pin's
@@ -15,14 +14,14 @@ import (
 // one per worker.
 type Gatherer struct {
 	// Ids[k] is the k-th gathered candidate of the current v-pin, in the
-	// canonical enumeration order; both backends score the rows in this
+	// canonical enumeration order; the backend scores the rows in this
 	// order.
 	Ids []int32
 	// D[k] is the ManhattanVpin distance of candidate k, filled by Gather.
 	D []float32
 	// P[k] is candidate k's final probability after Score; under two-level
-	// pruning gate-rejected candidates score -1, exactly like the scalar
-	// TwoLevel composition.
+	// pruning gate-rejected candidates score -1, exactly like
+	// TwoLevel.Prob.
 	P []float64
 	// Stride is the feature-row width; zero selects features.NumFeatures,
 	// the width of every pre-existing configuration. Configurations whose
@@ -35,8 +34,7 @@ type Gatherer struct {
 	// p2 holds level-2 probabilities of the gate's survivors.
 	p2 []float64
 	// Batches and BatchRows count ProbBatch calls and the rows scored
-	// through them, across the Gatherer's lifetime. The scalar backend
-	// leaves them untouched.
+	// through them, across the Gatherer's lifetime.
 	Batches   int64
 	BatchRows int64
 }
@@ -107,10 +105,8 @@ func (g *Gatherer) Score(b Backend) {
 	b.score(g)
 }
 
-// Backend scores a gathered arena. The two implementations — the batched
-// flat-arena fast path and the per-pair scalar oracle — consume the same
-// rows in the same order and produce bit-identical probabilities; which
-// one runs is a pure performance choice. Construct through ResolveBackend.
+// Backend scores a gathered arena through one ProbBatch call per model
+// level. Construct through ResolveBackend.
 type Backend interface {
 	score(g *Gatherer)
 	// pairwise reports whether a candidate's probability depends on its
@@ -119,68 +115,39 @@ type Backend interface {
 	pairwise() bool
 }
 
-// ResolveBackend resolves a trained model into its scoring backend. Models
-// whose every level implements BatchScorer get the batched path;
-// scalar-only scorers, mixed two-level compositions, and the forceScalar
-// oracle (Config.ScalarScoring) fall back to per-row Prob over the same
-// arena. A two-level model batches only when both levels do: mixing a
-// batched level with a scalar one would complicate the contract for no
-// caller that exists. ResolveBackendObs is the observable variant; this one
-// reports nothing.
+// ResolveBackend resolves a trained model into its scoring backend, the
+// one batched engine. A model level with its own ProbBatch scores through
+// it; a level without one is adapted to score row by row through Prob,
+// which the BatchScorer contract makes bit-identical. forceScalar adapts
+// the whole model instead: a two-level model then gates each row through
+// TwoLevel.Prob, the composition the batched gate is checked against.
 func ResolveBackend(model Scorer, forceScalar bool) Backend {
-	return ResolveBackendObs(nil, model, forceScalar)
-}
-
-// ResolveBackendObs is ResolveBackend reporting silent fast-path losses: a
-// two-level composition with exactly one batch-capable level falls back to
-// the scalar oracle, and that fallback — easy to cause by composing a
-// batched level with a scalar-only family's level, and invisible in
-// results because the two paths are bit-identical — increments the
-// pairs.backend.scalar_fallback counter so the perf regression shows in
-// /metrics. A nil obs context reports nothing (obs methods are nil-safe).
-func ResolveBackendObs(o *obs.Context, model Scorer, forceScalar bool) Backend {
-	if !forceScalar {
-		switch m := model.(type) {
-		case *TwoLevel:
-			b1, ok1 := m.L1.(BatchScorer)
-			b2, ok2 := m.L2.(BatchScorer)
-			if ok1 && ok2 {
-				return &batchBackend{b1: b1, b2: b2}
-			}
-			if ok1 != ok2 {
-				o.Metrics().Counter("pairs.backend.scalar_fallback").Inc()
-				o.Log().Debug("two-level composition falls back to scalar scoring",
-					"level1_batched", ok1, "level2_batched", ok2)
-			}
-		case BatchScorer:
-			return &batchBackend{b1: m}
-		}
+	if forceScalar {
+		return &batchBackend{b1: rowScorer{model}}
 	}
-	return &scalarBackend{model: model}
-}
-
-// Batched reports whether the backend is the batched fast path, looking
-// through a Ranked wrapper at the scoring path underneath.
-func Batched(b Backend) bool {
-	if r, ok := b.(*rankedBackend); ok {
-		b = r.inner
+	if m, ok := model.(*TwoLevel); ok {
+		return &batchBackend{b1: asBatch(m.L1), b2: asBatch(m.L2)}
 	}
-	_, ok := b.(*batchBackend)
-	return ok
+	return &batchBackend{b1: asBatch(model)}
 }
 
-// scalarBackend scores the arena one row at a time through the model's
-// Prob — the oracle the batched path is verified against.
-type scalarBackend struct {
-	model Scorer
+// asBatch returns s's own batch scorer, or s adapted to one.
+func asBatch(s Scorer) BatchScorer {
+	if b, ok := s.(BatchScorer); ok {
+		return b
+	}
+	return rowScorer{s}
 }
 
-func (s *scalarBackend) pairwise() bool { return true }
+// rowScorer adapts a Prob-only scorer to BatchScorer: its ProbBatch calls
+// Prob once per row.
+type rowScorer struct {
+	Scorer
+}
 
-func (s *scalarBackend) score(g *Gatherer) {
-	stride := g.rowStride()
-	for k := range g.Ids {
-		g.P[k] = s.model.Prob(g.rows[k*stride : (k+1)*stride])
+func (r rowScorer) ProbBatch(rows []float64, stride int, out []float64) {
+	for i := range out {
+		out[i] = r.Prob(rows[i*stride : (i+1)*stride])
 	}
 }
 
@@ -190,7 +157,7 @@ func (s *scalarBackend) score(g *Gatherer) {
 // (p1 >= 0.5, the gate of TwoLevel.Prob) are compacted to the front of the
 // matrix in place, level 2 scores only the survivors, and the results
 // scatter back over the gate: rejected candidates score -1, exactly like
-// the scalar composition.
+// TwoLevel.Prob.
 type batchBackend struct {
 	b1 BatchScorer
 	b2 BatchScorer

@@ -15,10 +15,10 @@
 //	           the pipeline's canonical deterministic order.
 //	Gatherer   a reusable arena that collects one v-pin's admitted
 //	           candidates (ids, distances, feature rows) and scores them
-//	           via a Backend — either the batched flat-arena fast path or
-//	           the per-pair scalar oracle. Both backends consume the same
-//	           gathered rows in the same order, so results are
-//	           bit-identical across backends.
+//	           via a Backend: one ProbBatch call per model level over the
+//	           gathered rows, in the canonical order. A model level
+//	           without ProbBatch is adapted to score row by row through
+//	           Prob, with bit-identical results.
 //
 // The package has no randomness and no configuration of its own; callers
 // own both.
@@ -35,8 +35,8 @@ type Scorer interface {
 
 // BatchScorer is a Scorer that can score a whole row-major feature matrix
 // in one call. ProbBatch(rows, stride, out) must write to out[r] exactly
-// what Prob(rows[r*stride:(r+1)*stride]) returns — bit-identical, so the
-// pipeline may use either path interchangeably — and must be safe for
+// what Prob(rows[r*stride:(r+1)*stride]) returns — bit-identical, so a
+// model scores the same through either call — and must be safe for
 // concurrent use and allocation-free. ml.Ensemble, the compiled form of the
 // Bagging, is the canonical implementation.
 type BatchScorer interface {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/features"
 	"repro/internal/layout"
+	"repro/internal/ml"
 	"repro/internal/split"
 )
 
@@ -402,17 +403,61 @@ func TestRestrictKeepsPairs(t *testing.T) {
 	}
 }
 
-// TestResolveBackendClassification pins the resolver's fallback rules:
-// scalar-only models (and two-level compositions containing one) must get
-// the per-row oracle, never the batched path.
+// TestResolveBackendClassification pins the resolver's rules: every model
+// gets the one batched backend; a level with its own ProbBatch scores
+// through it, a Prob-only level (alone or inside a two-level composition)
+// through the row adapter, and forceScalar adapts the whole model.
 func TestResolveBackendClassification(t *testing.T) {
 	scalar := constScorer{p: 0.7}
-	if Batched(ResolveBackend(scalar, false)) {
-		t.Error("scalar-only model resolved to the batched backend")
+	batch := constBatchScorer{p: 0.9}
+	mixed := &TwoLevel{L1: batch, L2: scalar}
+	for _, tc := range []struct {
+		name   string
+		model  Scorer
+		force  bool
+		b1, b2 BatchScorer
+	}{
+		{"prob-only", scalar, false, rowScorer{scalar}, nil},
+		{"batch", batch, false, batch, nil},
+		{"two-level mixed", mixed, false, batch, rowScorer{scalar}},
+		{"two-level prob-only", &TwoLevel{L1: scalar, L2: scalar}, false, rowScorer{scalar}, rowScorer{scalar}},
+		{"forced", batch, true, rowScorer{batch}, nil},
+		{"forced two-level", mixed, true, rowScorer{mixed}, nil},
+	} {
+		b := ResolveBackend(tc.model, tc.force).(*batchBackend)
+		if b.b1 != tc.b1 || b.b2 != tc.b2 {
+			t.Errorf("%s: levels %#v / %#v, want %#v / %#v", tc.name, b.b1, b.b2, tc.b1, tc.b2)
+		}
 	}
-	two := &TwoLevel{L1: scalar, L2: scalar}
-	if Batched(ResolveBackend(two, false)) {
-		t.Error("scalar two-level model resolved to the batched backend")
+}
+
+// TestResolveBackendKeepsModelProbBatch: the engine's two batch-capable
+// model types score through their own ProbBatch, at either level, never
+// through the row adapter.
+func TestResolveBackendKeepsModelProbBatch(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	ds := &ml.Dataset{}
+	for i := 0; i < 200; i++ {
+		x := []float64{r.Float64(), r.Float64()}
+		ds.Add(x, x[0]+0.1*x[1] > 0.5)
+	}
+	bag, err := ml.TrainBagging(ds, 3, ml.TreeOptions{}, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn, err := ml.TrainMLP(ds, ml.MLPOptions{Epochs: 2}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []BatchScorer{bag.Compile(), nn} {
+		one := ResolveBackend(m, false).(*batchBackend)
+		if one.b1 != m {
+			t.Errorf("%T scores through %T, not its own ProbBatch", m, one.b1)
+		}
+		two := ResolveBackend(&TwoLevel{L1: m, L2: m}, false).(*batchBackend)
+		if two.b1 != m || two.b2 != m {
+			t.Errorf("two-level %T scores through %T / %T, not its own ProbBatch", m, two.b1, two.b2)
+		}
 	}
 }
 

@@ -14,8 +14,8 @@ import "math"
 // The softmax is strictly monotone within a list, so per-list rankings —
 // and therefore the candidate lists, CCR, and accuracy-at-K — are preserved
 // exactly; what changes is the score scale that cross-list consumers (the
-// figure-of-merit, ROC sweeps) see. The wrapper composes with any backend,
-// batched or scalar, and Batched() reports the path underneath.
+// figure-of-merit, ROC sweeps) see. The wrapper composes with the backend
+// of any model.
 func Ranked(b Backend) Backend {
 	if _, ok := b.(*rankedBackend); ok {
 		return b

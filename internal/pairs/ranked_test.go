@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/features"
-	"repro/internal/obs"
 )
 
 // presetBackend writes a fixed probability vector into the arena —
@@ -117,15 +116,16 @@ func TestRankedWrapIdempotentAndTransparent(t *testing.T) {
 	if Ranked(b) != b {
 		t.Error("double-wrapping allocated a second ranking head")
 	}
-	batch := ResolveBackend(constBatchScorer{p: 0.5}, false)
-	if !Batched(batch) {
-		t.Fatal("batch-capable scorer did not resolve to the batched backend")
-	}
-	if !Batched(Ranked(batch)) {
-		t.Error("Batched does not look through the ranking wrapper")
-	}
-	if Batched(Ranked(ResolveBackend(constScorer{p: 0.5}, false))) {
-		t.Error("ranked scalar backend misreported as batched")
+	// The head wraps the model's backend and scores through it: over a
+	// constant model every admitted candidate gets an equal share.
+	g, _ := gatherFixture(t)
+	for _, sc := range []Scorer{constBatchScorer{p: 0.5}, constScorer{p: 0.5}} {
+		g.Score(Ranked(ResolveBackend(sc, false)))
+		for i, p := range g.P {
+			if want := 1 / float64(len(g.P)); math.Abs(p-want) > 1e-12 {
+				t.Fatalf("%T: ranked score %d = %v, want %v", sc, i, p, want)
+			}
+		}
 	}
 }
 
@@ -163,36 +163,6 @@ func TestGathererStride(t *testing.T) {
 				t.Fatalf("candidate %d routing feature %d = %g, want %g", k, j, wrow[j], want[j])
 			}
 		}
-	}
-}
-
-// TestResolveBackendObsFallbackCounter pins the observability contract of
-// mixed two-level compositions: exactly one batch-capable level falls back
-// to the scalar oracle and increments pairs.backend.scalar_fallback.
-func TestResolveBackendObsFallbackCounter(t *testing.T) {
-	o := obs.New(obs.Options{Command: "test"})
-	counter := func() int64 { return o.Metrics().Counter("pairs.backend.scalar_fallback").Value() }
-
-	mixed := &TwoLevel{L1: constBatchScorer{p: 0.9}, L2: constScorer{p: 0.3}}
-	if Batched(ResolveBackendObs(o, mixed, false)) {
-		t.Fatal("mixed two-level composition resolved to the batched backend")
-	}
-	if got := counter(); got != 1 {
-		t.Fatalf("fallback counter = %d after mixed composition, want 1", got)
-	}
-
-	// Both-batch, both-scalar, and forced-scalar resolutions are not silent
-	// losses and must not count.
-	ResolveBackendObs(o, &TwoLevel{L1: constBatchScorer{p: 0.9}, L2: constBatchScorer{p: 0.3}}, false)
-	ResolveBackendObs(o, &TwoLevel{L1: constScorer{p: 0.9}, L2: constScorer{p: 0.3}}, false)
-	ResolveBackendObs(o, constBatchScorer{p: 0.9}, true)
-	if got := counter(); got != 1 {
-		t.Fatalf("fallback counter = %d after clean resolutions, want 1", got)
-	}
-
-	// The nil-obs variant must not panic on the same mixed composition.
-	if Batched(ResolveBackend(mixed, false)) {
-		t.Fatal("nil-obs resolution of mixed composition batched")
 	}
 }
 

@@ -141,11 +141,12 @@ func allVpins(n int) []int {
 }
 
 // TestPairSharingScoresEachPairOnce runs ScoreLists over full and subset
-// target sets, caps down to 1, and every pool and shard shape, through
-// both pairwise backends. Every admitted unordered pair with at least one
-// target endpoint must reach the kernel exactly once and no other pair at
-// all; lists and truth probabilities must equal per-v-pin scoring, and the
-// counters must read directed pairs and actual kernel rows.
+// target sets, caps down to 1, and every pool and shard shape, for a batch
+// scorer and for a Prob-only scorer the backend adapts. Every admitted
+// unordered pair with at least one target endpoint must reach the kernel
+// exactly once and no other pair at all; lists and truth probabilities
+// must equal per-v-pin scoring, and the counters must read directed pairs
+// and actual kernel rows.
 func TestPairSharingScoresEachPairOnce(t *testing.T) {
 	inst := pairIdentityInstance(t)
 	n := inst.N()
@@ -197,9 +198,6 @@ func TestPairSharingScoresEachPairOnce(t *testing.T) {
 				sc = batchPairCounter{counter}
 			}
 			backend := ResolveBackend(sc, false)
-			if Batched(backend) != batched {
-				t.Fatalf("backend batched=%v, want %v", Batched(backend), batched)
-			}
 			wantLists := referenceLists(f, backend, tc.targets, tc.capPer)
 			wantTruth := referenceTruthP(f, backend, targets)
 			for _, workers := range []int{1, 2, 4} {
@@ -210,7 +208,7 @@ func TestPairSharingScoresEachPairOnce(t *testing.T) {
 					lists, stats := ScoreLists(f, backend, StreamOptions{
 						Targets: tc.targets, Cap: tc.capPer, Workers: workers, ShardVpins: shard})
 					label := func() string {
-						return tc.name + map[bool]string{false: " scalar", true: " batch"}[batched]
+						return tc.name + map[bool]string{false: " prob-only", true: " batch"}[batched]
 					}
 					for a := 0; a < n; a++ {
 						for b := a + 1; b < n; b++ {
@@ -228,13 +226,9 @@ func TestPairSharingScoresEachPairOnce(t *testing.T) {
 						t.Fatalf("%s workers %d shard %d: TruthP differs from per-v-pin scoring",
 							label(), workers, shard)
 					}
-					wantBatchRows := int64(0)
-					if batched {
-						wantBatchRows = rows
-					}
-					if stats.Pairs != directed || stats.BatchRows != wantBatchRows {
+					if stats.Pairs != directed || stats.BatchRows != rows {
 						t.Fatalf("%s workers %d shard %d: %d pairs, %d batch rows; want %d directed pairs, %d rows",
-							label(), workers, shard, stats.Pairs, stats.BatchRows, directed, wantBatchRows)
+							label(), workers, shard, stats.Pairs, stats.BatchRows, directed, rows)
 					}
 				}
 			}

@@ -36,9 +36,9 @@ type StreamStats struct {
 	// the sum of the targets' candidate counts. A pair of two targets
 	// counts twice, once per list, although it is scored once.
 	Pairs int64
-	// Batches and BatchRows count the ProbBatch calls and rows the run made
-	// (zero on the scalar path): the kernel work actually done. With pair
-	// sharing, full-design runs score Pairs/2 level-1 rows.
+	// Batches and BatchRows count the ProbBatch calls and rows the run made:
+	// the kernel work actually done. With pair sharing, full-design runs
+	// score Pairs/2 level-1 rows.
 	Batches, BatchRows int64
 	// Regions is the number of spatial shards the targets were split into.
 	Regions int

@@ -184,6 +184,8 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/jobs", `not json`, http.StatusBadRequest, "invalid_spec"},
 		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"ML-9"},"bogus":1}`,
 			http.StatusBadRequest, "invalid_spec"}, // unknown fields rejected
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"ML-9","scalar_scoring":true}}`,
+			http.StatusBadRequest, "invalid_spec"}, // the removed scoring knob is an unknown field
 		{"POST", "/jobs", `{"kind":"attack","design":"sb1"}`, http.StatusBadRequest, "invalid_spec"},
 		{"POST", "/jobs", `{"kind":"attack","design":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
 			http.StatusRequestEntityTooLarge, "invalid_spec"}, // body over the 1 MiB bound

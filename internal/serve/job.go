@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -63,6 +64,10 @@ type Job struct {
 	persisted bool
 	cancel    context.CancelFunc
 	done      chan struct{} // closed on entering a terminal state
+	// saveMu serializes the writes of the job's record: each write takes
+	// its snapshot and writes it under the lock, so the last write carries
+	// the latest state and no two writers share the temp file.
+	saveMu sync.Mutex
 }
 
 // Wait blocks until the job reaches a terminal state or ctx expires.

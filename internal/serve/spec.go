@@ -119,9 +119,6 @@ type ConfigSpec struct {
 	// Ranking toggles the list-wise ranking head (softmax over each
 	// v-pin's candidate list; rankings and accuracy metrics unchanged).
 	Ranking *bool `json:"ranking,omitempty"`
-	// ScalarScoring disables the batched scoring fast path (results are
-	// bit-identical either way; this is the slow correctness oracle).
-	ScalarScoring bool `json:"scalar_scoring,omitempty"`
 }
 
 // resolve turns the wire form into an engine configuration.
@@ -194,9 +191,6 @@ func (cs ConfigSpec) resolve() (attack.Config, error) {
 	}
 	if cs.Ranking != nil {
 		cfg.Ranking = *cs.Ranking
-	}
-	if cs.ScalarScoring {
-		cfg.ScalarScoring = true
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, err

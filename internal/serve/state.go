@@ -38,12 +38,16 @@ func (s *Server) resultPath(id string) string {
 }
 
 // saveJob persists the job's current record; a memory-only server no-ops.
+// The snapshot and the write happen under the job's saveMu, so concurrent
+// saves of one job land in order and the record ends at the latest state.
 // Persistence failures are logged, not fatal: the job keeps running and
 // only restart durability degrades.
 func (s *Server) saveJob(job *Job) {
 	if s.opts.StateDir == "" {
 		return
 	}
+	job.saveMu.Lock()
+	defer job.saveMu.Unlock()
 	s.mu.Lock()
 	rec := record{
 		ID:        job.ID,

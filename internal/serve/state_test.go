@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -179,4 +182,105 @@ func TestStateCorruptRecord(t *testing.T) {
 // jobID formats an ID the way the server does.
 func jobID(n int) string {
 	return fmt.Sprintf("j-%06d", n)
+}
+
+// TestServeRecordsEndAtLatestState submits many instant jobs from four
+// concurrent clients to a state-dir server with two workers, so each job's
+// pending, running and done records race one another to the disk. Every
+// persisted record must decode and read done with its result on disk — the
+// last write carries the latest state — and a restart on the same
+// directory must re-run none of them.
+func TestServeRecordsEndAtLatestState(t *testing.T) {
+	const n, clients = 400, 4
+	dir := t.TempDir()
+	s := newTestServer(t, Options{Pool: 2, Queue: n, StateDir: dir, runner: stubRunner,
+		DefaultScale: testScale, DefaultSeed: testSeed})
+	jobs := make([]*Job, n)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < n; i += clients {
+				job, err := s.Submit(attackSpec("sb1"))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				jobs[i] = job
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, job := range jobs {
+		waitTerminal(t, job, 30*time.Second)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range jobs {
+		data, err := os.ReadFile(filepath.Join(dir, "jobs", job.ID+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec record
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatalf("record %s does not decode: %v", job.ID, err)
+		}
+		if rec.State != StateDone || !rec.HasResult {
+			t.Fatalf("record %s reads %s (result on disk %t), want done with its result",
+				job.ID, rec.State, rec.HasResult)
+		}
+	}
+
+	var reruns atomic.Int64
+	counting := func(ctx context.Context, s *Server, job *Job) (*Result, error) {
+		reruns.Add(1)
+		return stubRunner(ctx, s, job)
+	}
+	s2 := newTestServer(t, Options{Pool: 2, StateDir: dir, runner: counting,
+		DefaultScale: testScale, DefaultSeed: testSeed})
+	for _, job := range jobs {
+		j, ok := s2.Job(job.ID)
+		if !ok {
+			t.Fatalf("job %s not reloaded", job.ID)
+		}
+		if st := s2.Status(j).State; st != StateDone {
+			t.Fatalf("job %s reloaded as %s, want done", job.ID, st)
+		}
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reruns.Load(); got != 0 {
+		t.Fatalf("the restarted server re-ran %d done jobs", got)
+	}
+}
+
+// TestStateReloadsRemovedSpecField: a record persisted while specs could
+// carry "scalar_scoring" — a field POST /jobs now rejects — still reloads,
+// and its pending job runs.
+func TestStateReloadsRemovedSpecField(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := `{"id":"j-000001","spec":{"kind":"attack","design":"sb1","layer":8,"scale":0.2,"seed":5,` +
+		`"config":{"preset":"ML-9","scalar_scoring":true}},"state":"pending","created":"2026-01-02T03:04:05Z"}`
+	if err := os.WriteFile(filepath.Join(dir, "jobs", "j-000001.json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Pool: 1, StateDir: dir, runner: stubRunner,
+		DefaultScale: testScale, DefaultSeed: testSeed})
+	job, ok := s.Job("j-000001")
+	if !ok {
+		t.Fatal("record carrying scalar_scoring not reloaded")
+	}
+	waitTerminal(t, job, 30*time.Second)
+	if st := s.Status(job).State; st != StateDone {
+		t.Fatalf("reloaded job state %s, want done", st)
+	}
 }
