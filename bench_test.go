@@ -199,11 +199,7 @@ func BenchmarkAblationUnbalanced(b *testing.B) {
 	chs := benchChallenges(b, 6)
 	cfg := attack.Imp11()
 	cfg.Name = "Imp-11-unbalanced"
-	opts := cfg.TrainOptions().WithDefaults()
-	fam, err := model.FamilyByName(opts.Family)
-	if err != nil {
-		b.Fatal(err)
-	}
+	opts := cfg.TrainOptions.WithDefaults()
 	var acc float64
 	for i := 0; i < b.N; i++ {
 		insts := attack.NewInstancesWorkers(chs, 0)
@@ -226,15 +222,14 @@ func BenchmarkAblationUnbalanced(b *testing.B) {
 					ds.Add(extra.X[k], false)
 				}
 			}
-			sc, err := fam.Train(model.TrainContext{
+			sc, err := model.TrainContext{
 				Opts: opts, Seed: cfg.Seed, Unit: model.UnitLevel1, Fold: target,
-			}, ds)
+			}.Train(ds)
 			if err != nil {
 				b.Fatal(err)
 			}
-			capPer := pairs.LoCCap(inst.N(), opts.MaxLoCFrac)
 			lists, _ := pairs.ScoreLists(opts.Filter(inst, radius), pairs.ResolveBackend(sc, false),
-				pairs.StreamOptions{Cap: capPer, Stride: features.Width(opts.Features)})
+				pairs.StreamOptions{Cap: opts.RetainCap(inst.N()), Stride: features.Width(opts.Features)})
 			acc += accuracyAtK(inst, lists, 10)
 		}
 		acc /= float64(len(insts))

@@ -95,9 +95,11 @@ func prepare(fsName string, args []string, addFlags func(*flag.FlagSet)) *sessio
 	if !ok {
 		cli.Usage("unknown config %q", *config)
 	}
-	if *base == "randomtree" {
-		cfg = attack.WithBase(cfg, ml.RandomTree, 0)
+	kind, err := ml.ParseTreeKind(*base)
+	if err != nil {
+		cli.Usage("%v", err)
 	}
+	cfg.BaseKind = kind
 	if *learner != "" {
 		cfg = attack.WithFamily(cfg, *learner)
 	}
@@ -113,14 +115,14 @@ func prepare(fsName string, args []string, addFlags func(*flag.FlagSet)) *sessio
 	if *ranking {
 		cfg = attack.WithRanking(cfg)
 	}
+	cfg.MaxLoCCount = *maxLoC
+	cfg.ShardVpins = *shard
 	if err := cfg.Validate(); err != nil {
 		cli.Usage("%v", err)
 	}
 	cfg.Seed = app.Seed
 	cfg.Workers = app.Workers()
 	cfg.Obs = o
-	cfg.MaxLoCCount = *maxLoC
-	cfg.ShardVpins = *shard
 	// The artifact store makes repeated invocations warm when
 	// -model-cache-dir points at a persistent directory; a memory-only
 	// store is free for the single-target run.
@@ -238,11 +240,8 @@ func runAttack(args []string) {
 		// Checkpointed single-target run: the fold is saved as (or served
 		// from) the same work unit an `experiments -shard` worker or a sweep
 		// job would produce at these coordinates, so the commands compose.
-		u := sweep.Unit{
-			Prov:   sweep.Provenance{Tier: s.app.Tier, Scale: s.app.Scale, Seed: s.app.Seed},
-			Config: cfg.Name, Spec: cfg.OptionsHash(),
-			Layer: s.layer, Fold: s.target, Design: s.design,
-		}
+		u := sweep.NewUnit(sweep.Provenance{Tier: s.app.Tier, Scale: s.app.Scale, Seed: s.app.Seed},
+			cfg, s.layer, 0, s.target, s.design)
 		var outcome sweep.Outcome
 		ev, radiusNorm, outcome, err = sweep.RunUnit(o, ck, u, cfg, s.insts)
 		if err == nil {
@@ -324,20 +323,12 @@ func runAttack(args []string) {
 		}
 	}
 
-	trees := cfg.NumTrees
-	if trees == 0 {
-		if cfg.BaseKind == ml.RandomTree {
-			trees = ml.DefaultForestSize
-		} else {
-			trees = ml.DefaultBaggingSize
-		}
-	}
 	configMap := map[string]any{
 		"design": s.design,
 		"layer":  s.layer,
 		"config": cfg.Name,
 		"base":   s.base,
-		"trees":  trees,
+		"trees":  cfg.TrainOptions.WithDefaults().NumTrees,
 	}
 	if *modelPath != "" {
 		configMap["model"] = *modelPath

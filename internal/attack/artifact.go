@@ -14,26 +14,12 @@ import (
 // model.Train and ships the artifact; a later RunTargetArtifact with the
 // same configuration, instances, and seed accepts it.
 func TrainSpec(cfg Config, insts []*Instance, target int) (model.Spec, float64, error) {
-	_, spec, radiusNorm, err := targetSpec(cfg, insts, target)
-	return spec, radiusNorm, err
-}
-
-// targetSpec validates the run request and builds the target's training
-// spec alongside the defaults-applied configuration.
-func targetSpec(cfg Config, insts []*Instance, target int) (Config, model.Spec, float64, error) {
-	cfg, err := prepareRun(cfg, insts)
+	cfg, err := prepareFold(cfg, insts, target)
 	if err != nil {
-		return cfg, model.Spec{}, 0, err
+		return model.Spec{}, 0, err
 	}
-	if target < 0 || target >= len(insts) {
-		return cfg, model.Spec{}, 0, fmt.Errorf("attack: target %d out of range 0..%d", target, len(insts)-1)
-	}
-	trainInsts := others(insts, target)
-	radiusNorm := -1.0
-	if cfg.Neighborhood {
-		radiusNorm = NeighborRadiusNorm(trainInsts, cfg.NeighborQuantile)
-	}
-	return cfg, cfg.trainSpec(trainInsts, target, radiusNorm, nil), radiusNorm, nil
+	spec, radiusNorm := cfg.foldSpec(insts, target, nil)
+	return spec, radiusNorm, nil
 }
 
 // RunTargetArtifact scores the held-out design at index target with a
@@ -43,10 +29,11 @@ func targetSpec(cfg Config, insts []*Instance, target int) (Config, model.Spec, 
 // to RunTargetInstances' evaluation (training durations aside, since no
 // training happens here).
 func RunTargetArtifact(cfg Config, insts []*Instance, target int, art *model.Artifact) (*Evaluation, float64, error) {
-	cfg, spec, radiusNorm, err := targetSpec(cfg, insts, target)
+	cfg, err := prepareFold(cfg, insts, target)
 	if err != nil {
 		return nil, 0, err
 	}
+	spec, radiusNorm := cfg.foldSpec(insts, target, nil)
 	if h := spec.Hash(); h != art.Meta.SpecHash {
 		return nil, 0, fmt.Errorf("attack: artifact %.12s (config %s, seed %d) does not match this run's spec %.12s (config %s, target %s, seed %d): train and attack must agree on designs, configuration, and seed",
 			art.Meta.SpecHash, art.Meta.Config, art.Meta.Seed,
@@ -55,18 +42,9 @@ func RunTargetArtifact(cfg Config, insts []*Instance, target int, art *model.Art
 	if err := art.CheckWidth(features.Width(cfg.Features)); err != nil {
 		return nil, 0, fmt.Errorf("attack: %w", err)
 	}
-	o := cfg.Obs
-	sp := o.Begin("target", obs.F("design", insts[target].Ch.Design.Name),
+	sp := cfg.Obs.Begin("target", obs.F("design", insts[target].Ch.Design.Name),
 		obs.F("artifact", art.Meta.SpecHash))
-	scsp := sp.Begin("scoring")
-	ev := scoreTarget(art.Scorer(), insts[target], cfg, radiusNorm)
-	scsp.SetAttr("pairs", ev.PairsScored)
-	ev.Phases.annotate(scsp)
-	scsp.End()
-	sp.SetAttr("test_ns", int64(ev.TestDur))
-	sp.SetAttr("vpins", ev.N)
+	ev := cfg.scoreFold(art.Scorer(), insts[target], radiusNorm, sp)
 	sp.End()
-	o.Metrics().Counter("attack.targets").Inc()
-	o.Metrics().Counter("attack.pairs.scored").Add(ev.PairsScored)
 	return ev, radiusNorm, nil
 }

@@ -78,7 +78,7 @@ func run(t *testing.T, cfg Config, layer int) *Result {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{Name: "x"}.withDefaults()
+	c := Config{TrainOptions: model.TrainOptions{Name: "x"}}.withDefaults()
 	if c.NeighborQuantile != 0.90 {
 		t.Errorf("default quantile %f", c.NeighborQuantile)
 	}
@@ -88,7 +88,7 @@ func TestConfigDefaults(t *testing.T) {
 	if len(c.Features) != 9 {
 		t.Errorf("default features %d", len(c.Features))
 	}
-	cr := Config{Name: "x", BaseKind: ml.RandomTree}.withDefaults()
+	cr := Config{TrainOptions: model.TrainOptions{Name: "x", BaseKind: ml.RandomTree}}.withDefaults()
 	if cr.NumTrees != ml.DefaultForestSize {
 		t.Errorf("random-tree default trees %d", cr.NumTrees)
 	}
@@ -454,7 +454,7 @@ func TestScoreSubset(t *testing.T) {
 	cfg := Imp9().withDefaults()
 	radius := NeighborRadiusNorm(others(insts, 0), cfg.NeighborQuantile)
 	ds := TrainingSet(cfg, others(insts, 0), radius, nil, rng)
-	sc, err := trainModelUnit(cfg, ds, model.UnitLevel1, 0)
+	sc, err := model.TrainContext{Opts: cfg.TrainOptions, Seed: cfg.Seed, Unit: model.UnitLevel1}.Train(ds)
 	if err != nil {
 		t.Fatal(err)
 	}

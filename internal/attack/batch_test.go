@@ -61,7 +61,7 @@ func runOracleLOO(cfg Config, insts []*Instance) (*Result, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return scoreTarget(probOnly{art.Scorer()}, insts[fold], cfg, radius), radius, nil
+		return scoreSubset(probOnly{art.Scorer()}, insts[fold], cfg, radius, nil), radius, nil
 	})
 }
 
@@ -147,7 +147,7 @@ func level2Rows(t *testing.T, cfg Config, insts []*Instance, fold int) int64 {
 	row := make([]float64, features.Width(cfg.Features))
 	var rows int64
 	for a := 0; a < inst.N(); a++ {
-		newPairFilter(inst, cfg, radius).Enumerate(a, func(b int32) {
+		cfg.Filter(inst, radius).Enumerate(a, func(b int32) {
 			if int(b) > a {
 				inst.Ex.Pair(a, int(b), row)
 				if tl.L1.Prob(row) >= 0.5 {
@@ -251,16 +251,15 @@ func TestBatchGatherScoreAllocFree(t *testing.T) {
 	for _, base := range []Config{Imp11(), WithTwoLevel(Imp11())} {
 		cfg := base.withDefaults()
 		cfg.Seed = 3
-		train := others(insts, 0)
-		radius := NeighborRadiusNorm(train, cfg.NeighborQuantile)
-		art, _, err := model.Train(cfg.trainSpec(train, 0, radius, nil))
+		spec, radius := cfg.foldSpec(insts, 0, nil)
+		art, _, err := model.Train(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc := art.Scorer()
 		backend := pairs.ResolveBackend(sc, false)
 		inst := insts[0]
-		filter := newPairFilter(inst, cfg, radius)
+		filter := cfg.Filter(inst, radius)
 		var g pairs.Gatherer
 		warm := inst.N()
 		if warm > 64 {

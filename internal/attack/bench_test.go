@@ -22,12 +22,8 @@ import (
 func benchAttackModel(b *testing.B, cfg Config, layer int) (Scorer, *Instance, float64) {
 	b.Helper()
 	insts := NewInstancesWorkers(challenges(b, layer), 0)
-	train := others(insts, 0)
-	radius := -1.0
-	if cfg.Neighborhood {
-		radius = NeighborRadiusNorm(train, cfg.NeighborQuantile)
-	}
-	art, _, err := model.Train(cfg.trainSpec(train, 0, radius, nil))
+	spec, radius := cfg.foldSpec(insts, 0, nil)
+	art, _, err := model.Train(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,7 +41,7 @@ func benchScoreTarget(b *testing.B, cfg Config, scalar bool) {
 	b.ResetTimer()
 	var scored int64
 	for i := 0; i < b.N; i++ {
-		ev := scoreTarget(model, inst, cfg, radius)
+		ev := scoreSubset(model, inst, cfg, radius, nil)
 		scored = ev.PairsScored
 	}
 	b.ReportMetric(float64(scored)*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
@@ -73,12 +69,7 @@ func BenchmarkTrainFold(b *testing.B) {
 	cfg.Seed = 1
 	cfg.Workers = 1
 	insts := NewInstancesWorkers(challenges(b, 6), 0)
-	train := others(insts, 0)
-	radius := -1.0
-	if cfg.Neighborhood {
-		radius = NeighborRadiusNorm(train, cfg.NeighborQuantile)
-	}
-	spec := cfg.trainSpec(train, 0, radius, nil)
+	spec, _ := cfg.foldSpec(insts, 0, nil)
 	b.ResetTimer()
 	var samples, nodes int
 	for i := 0; i < b.N; i++ {

@@ -64,7 +64,8 @@ func sameEval(t *testing.T, label string, a, b *Evaluation) {
 }
 
 // TestRunDeterministicAcrossWorkers is the tentpole guarantee: Run's output
-// is byte-identical for every worker count, and equals RunTarget per index.
+// is byte-identical for every worker count, and equals RunFoldInstances per
+// index.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	chs := challenges(t, 8)
 	cfg := Imp9()

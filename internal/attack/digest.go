@@ -19,7 +19,7 @@ import (
 //
 // The digest is how the job server's bit-identity contract is checked:
 // an attack served over HTTP must digest identically to the same
-// configuration run in-process via RunTarget.
+// configuration run in-process via RunTargetInstances.
 func (ev *Evaluation) Digest() string {
 	h := sha256.New()
 	var buf [8]byte

@@ -96,17 +96,10 @@ func (p Phases) annotate(sp *obs.Span) {
 	sp.SetAttr("sort_ns", int64(p.Sort))
 }
 
-// scoreTarget evaluates all admitted candidate pairs of the target instance
-// with the model and assembles the Evaluation. Work is parallelised across
-// v-pins.
-func scoreTarget(model Scorer, inst *Instance, cfg Config, radiusNorm float64) *Evaluation {
-	return scoreSubset(model, inst, cfg, radiusNorm, nil)
-}
-
-// scoreSubset is scoreTarget restricted to the listed target v-pins
-// (candidates are still drawn from the whole design). A nil subset scores
-// every v-pin. The proximity attack's validation stage uses this to score
-// only held-out v-pins.
+// scoreSubset evaluates the admitted candidate pairs of the listed target
+// v-pins with the model and assembles the Evaluation (candidates are still
+// drawn from the whole design). A nil subset scores every v-pin; the
+// proximity attack's validation stage scores only held-out v-pins.
 //
 // Scoring rides pairs.ScoreLists, the shared region-streamed engine: the
 // targets are sharded by spatial region of the v-pin index, each admitted
@@ -121,7 +114,7 @@ func scoreTarget(model Scorer, inst *Instance, cfg Config, radiusNorm float64) *
 func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, subset []int) *Evaluation {
 	start := time.Now()
 	n := inst.N()
-	filter := newPairFilter(inst, cfg, radiusNorm)
+	filter := cfg.Filter(inst, radiusNorm)
 
 	ev := &Evaluation{
 		ConfigName: cfg.Name,
@@ -141,7 +134,7 @@ func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, s
 	}
 	lists, stats := pairs.ScoreLists(filter, backend, pairs.StreamOptions{
 		Targets:    subset,
-		Cap:        cfg.retainCap(n),
+		Cap:        cfg.RetainCap(n),
 		ShardVpins: cfg.ShardVpins,
 		Workers:    cfg.Workers,
 		Stride:     features.Width(cfg.Features),

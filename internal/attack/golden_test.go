@@ -385,10 +385,10 @@ func TestIndustrialScoringHeapBounded(t *testing.T) {
 	}
 	inst := insts[0]
 	n := inst.N()
-	filter := newPairFilter(inst, cfg, radius)
+	filter := cfg.Filter(inst, radius)
 	backend := pairs.ResolveBackend(art.Scorer(), false)
 	stride := features.Width(cfg.Features)
-	capPer := cfg.retainCap(n)
+	capPer := cfg.RetainCap(n)
 	maxDeg := 0
 	var ids []int32
 	for a := 0; a < n; a++ {

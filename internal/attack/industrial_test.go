@@ -169,15 +169,15 @@ func TestConfigValidateMemoryKnobs(t *testing.T) {
 
 func TestRetainCap(t *testing.T) {
 	cfg := Imp11().withDefaults() // MaxLoCFrac 0 resolves to 0.15
-	if got := cfg.retainCap(1000); got != 150 {
-		t.Errorf("retainCap(1000) = %d, want 150", got)
+	if got := cfg.RetainCap(1000); got != 150 {
+		t.Errorf("RetainCap(1000) = %d, want 150", got)
 	}
 	cfg.MaxLoCCount = 100
-	if got := cfg.retainCap(1000); got != 100 {
-		t.Errorf("retainCap(1000) with count 100 = %d, want 100", got)
+	if got := cfg.RetainCap(1000); got != 100 {
+		t.Errorf("RetainCap(1000) with count 100 = %d, want 100", got)
 	}
 	cfg.MaxLoCCount = 500
-	if got := cfg.retainCap(1000); got != 150 {
-		t.Errorf("retainCap(1000) with loose count = %d, want 150 (fraction still binds)", got)
+	if got := cfg.RetainCap(1000); got != 150 {
+		t.Errorf("RetainCap(1000) with loose count = %d, want 150 (fraction still binds)", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -194,12 +195,9 @@ func paTarget(cfg Config, insts []*Instance, target int, ev *Evaluation,
 // outcome equals RunProximityOnInstances' entry for the target: PA
 // randomness is derived from cfg.Seed and the target index alone.
 func ProximityTargetInstances(cfg Config, insts []*Instance, target int, ev *Evaluation, radiusNorm float64) (PAOutcome, error) {
-	cfg, err := prepareRun(cfg, insts)
+	cfg, err := prepareFold(cfg, insts, target)
 	if err != nil {
 		return PAOutcome{}, err
-	}
-	if target < 0 || target >= len(insts) {
-		return PAOutcome{}, fmt.Errorf("attack: target %d out of range 0..%d", target, len(insts)-1)
 	}
 	if ev == nil {
 		return PAOutcome{}, fmt.Errorf("attack: proximity target needs a scored evaluation")
@@ -252,7 +250,8 @@ func validatePAFraction(cfg Config, trainInsts []*Instance, radiusNorm float64, 
 	}
 
 	ds := TrainingSet(cfg, trainInsts, radiusNorm, selected, paRng)
-	model, err := trainModelUnit(cfg, ds, unitPAModel, target)
+	sc, err := model.TrainContext{Obs: cfg.Obs, Opts: cfg.TrainOptions, Seed: cfg.Seed,
+		Unit: unitPAModel, Fold: target, Workers: cfg.Workers}.Train(ds)
 	if err != nil {
 		// Degenerate validation data (e.g. tiny tests): fall back to a
 		// mid-grid fraction rather than failing the whole attack.
@@ -261,7 +260,7 @@ func validatePAFraction(cfg Config, trainInsts []*Instance, radiusNorm float64, 
 
 	evals := make([]*Evaluation, len(trainInsts))
 	for i, inst := range trainInsts {
-		evals[i] = scoreSubset(model, inst, cfg, radiusNorm, heldout[i])
+		evals[i] = scoreSubset(sc, inst, cfg, radiusNorm, heldout[i])
 	}
 
 	bestFrac, bestRate := fracs[0], -1.0

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pairs"
@@ -77,12 +76,12 @@ func NewInstancesWorkers(chs []*split.Challenge, workers int) []*Instance {
 	return pairs.NewAll(chs, workers)
 }
 
-// prepareRun applies defaults and validates a leave-one-out run request.
+// prepareRun validates a leave-one-out run request and applies defaults.
 func prepareRun(cfg Config, insts []*Instance) (Config, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
 	}
+	cfg = cfg.withDefaults()
 	if len(insts) < 2 {
 		return cfg, fmt.Errorf("attack: leave-one-out needs at least 2 designs, got %d", len(insts))
 	}
@@ -215,14 +214,20 @@ func RunTargetInstances(cfg Config, insts []*Instance, target int) (*Evaluation,
 // lets a full leave-one-out run be decomposed into independently scheduled
 // (and independently checkpointed) fold units and recombined exactly.
 func RunFoldInstances(cfg Config, insts []*Instance, target int) (*Evaluation, float64, error) {
-	cfg, err := prepareRun(cfg, insts)
+	cfg, err := prepareFold(cfg, insts, target)
 	if err != nil {
 		return nil, 0, err
 	}
-	if target < 0 || target >= len(insts) {
-		return nil, 0, fmt.Errorf("attack: target %d out of range 0..%d", target, len(insts)-1)
-	}
 	return runTarget(cfg, insts, target, 0, nil)
+}
+
+// prepareFold is prepareRun for the one fold that holds out insts[target].
+func prepareFold(cfg Config, insts []*Instance, target int) (Config, error) {
+	cfg, err := prepareRun(cfg, insts)
+	if err == nil && (target < 0 || target >= len(insts)) {
+		err = fmt.Errorf("attack: target %d out of range 0..%d", target, len(insts)-1)
+	}
+	return cfg, err
 }
 
 // others returns insts without the element at target.
@@ -236,28 +241,42 @@ func others(insts []*Instance, target int) []*Instance {
 	return out
 }
 
-// trainModelUnit trains the configuration's classifier from streams derived
-// from (cfg.Seed, unit, target): the family draws every random decision
-// through TrainContext.Rng — the Bagging ensemble trains tree t in parallel
-// on stream (cfg.Seed, unit, target, t) and compiles into its flat-arena
-// form (bit-identical Prob — the documented Ensemble contract), single-model
-// families consume the stream (cfg.Seed, unit, target) whole. The
-// leave-one-out train stage lives in the model package; this helper remains
-// for the proximity attack's validation-split models, which are trained on
-// PA stream units.
-func trainModelUnit(cfg Config, ds *ml.Dataset, unit int64, target int) (Scorer, error) {
-	fam, err := model.FamilyByName(cfg.Family)
-	if err != nil {
-		return nil, err
+// foldSpec returns the model spec of the fold that holds out insts[target]
+// and the fold's neighborhood radius (a fraction of die width; -1 without
+// the Imp improvement), which it records on span as radius_norm. The
+// training stage's progress spans nest under span when it is non-nil.
+func (c Config) foldSpec(insts []*Instance, target int, span *obs.Span) (model.Spec, float64) {
+	trainInsts := others(insts, target)
+	radiusNorm := -1.0
+	if c.Neighborhood {
+		radiusNorm = NeighborRadiusNorm(trainInsts, c.NeighborQuantile)
+		span.SetAttr("radius_norm", radiusNorm)
 	}
-	return fam.Train(model.TrainContext{
-		Obs:     cfg.Obs,
-		Opts:    cfg.TrainOptions().WithDefaults(),
-		Seed:    cfg.Seed,
-		Unit:    unit,
-		Fold:    target,
-		Workers: cfg.Workers,
-	}, ds)
+	spec := model.NewSpec(c.TrainOptions, c.Seed, target, trainInsts, radiusNorm)
+	spec.Workers = c.Workers
+	spec.Obs = c.Obs
+	spec.Span = span
+	return spec, radiusNorm
+}
+
+// scoreFold scores the held-out design inst with sc under a "scoring" span
+// nested in the fold's span sp, records the fold's test_ns and vpins on sp,
+// and counts the target and its scored pairs.
+func (c Config) scoreFold(sc Scorer, inst *Instance, radiusNorm float64, sp *obs.Span) *Evaluation {
+	scsp := sp.Begin("scoring")
+	ev := scoreSubset(sc, inst, c, radiusNorm, nil)
+	scsp.SetAttr("pairs", ev.PairsScored)
+	if ev.Batches > 0 {
+		scsp.SetAttr("batches", ev.Batches)
+		scsp.SetAttr("batch_rows", ev.BatchRows)
+	}
+	ev.Phases.annotate(scsp)
+	scsp.End()
+	sp.SetAttr("test_ns", int64(ev.TestDur))
+	sp.SetAttr("vpins", ev.N)
+	c.Obs.Metrics().Counter("attack.targets").Inc()
+	c.Obs.Metrics().Counter("attack.pairs.scored").Add(ev.PairsScored)
+	return ev
 }
 
 // runTarget trains on all instances except target and scores target. All
@@ -269,43 +288,22 @@ func trainModelUnit(cfg Config, ds *ml.Dataset, unit int64, target int) (Scorer,
 // under parent when one is given (RunInstances' root span), else at the
 // context's root (RunFoldInstances).
 func runTarget(cfg Config, insts []*Instance, target, worker int, parent *obs.Span) (*Evaluation, float64, error) {
-	o := cfg.Obs
-	sp := o.BeginUnder(parent, "target",
+	sp := cfg.Obs.BeginUnder(parent, "target",
 		obs.F("design", insts[target].Ch.Design.Name), obs.F("worker", worker))
-	trainInsts := others(insts, target)
-	radiusNorm := -1.0
-	if cfg.Neighborhood {
-		radiusNorm = NeighborRadiusNorm(trainInsts, cfg.NeighborQuantile)
-		sp.SetAttr("radius_norm", radiusNorm)
-	}
-
+	defer sp.End()
 	t0 := time.Now()
-	spec := cfg.trainSpec(trainInsts, target, radiusNorm, sp)
+	spec, radiusNorm := cfg.foldSpec(insts, target, sp)
 	art, stats, err := cfg.Models.GetOrTrain(spec)
 	if err != nil {
-		sp.End()
 		return nil, 0, fmt.Errorf("attack: %s: target %s: %w", cfg.Name, insts[target].Ch.Design.Name, err)
 	}
 	trainDur := time.Since(t0)
+	sp.SetAttr("train_ns", int64(trainDur))
 
-	scsp := sp.Begin("scoring")
-	ev := scoreTarget(art.Scorer(), insts[target], cfg, radiusNorm)
-	scsp.SetAttr("pairs", ev.PairsScored)
-	if ev.Batches > 0 {
-		scsp.SetAttr("batches", ev.Batches)
-		scsp.SetAttr("batch_rows", ev.BatchRows)
-	}
-	ev.Phases.annotate(scsp)
-	scsp.End()
+	ev := cfg.scoreFold(art.Scorer(), insts[target], radiusNorm, sp)
 	ev.TrainDur = trainDur
 	ev.Phases.Sampling = stats.Sampling
 	ev.Phases.Level1 = stats.Level1
 	ev.Phases.Level2 = stats.Level2
-	sp.SetAttr("train_ns", int64(ev.TrainDur))
-	sp.SetAttr("test_ns", int64(ev.TestDur))
-	sp.SetAttr("vpins", ev.N)
-	sp.End()
-	o.Metrics().Counter("attack.targets").Inc()
-	o.Metrics().Counter("attack.pairs.scored").Add(ev.PairsScored)
 	return ev, radiusNorm, nil
 }

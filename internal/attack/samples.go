@@ -21,13 +21,6 @@ func NeighborRadiusNorm(insts []*Instance, q float64) float64 {
 	return pairs.NeighborRadiusNorm(insts, q)
 }
 
-// newPairFilter builds the pair-admission filter of a configuration for
-// one instance: the neighborhood radius applies only under the Imp
-// improvement, the DiffVpinY limit only under the "Y" refinement.
-func newPairFilter(inst *Instance, cfg Config, radiusNorm float64) pairs.Filter {
-	return cfg.TrainOptions().Filter(inst, radiusNorm)
-}
-
 // TrainingSet generates the balanced sample set of §III-B from the given
 // training instances: one positive (true match) per v-pin plus one random
 // admitted negative per v-pin. onlyVpins, when non-nil, restricts sample
@@ -36,5 +29,5 @@ func newPairFilter(inst *Instance, cfg Config, radiusNorm float64) pairs.Filter 
 // package; this wrapper projects the configuration's training options.
 func TrainingSet(cfg Config, insts []*Instance, radiusNorm float64,
 	onlyVpins [][]int, rng *rand.Rand) *ml.Dataset {
-	return model.TrainingSet(cfg.Obs, cfg.TrainOptions(), insts, radiusNorm, onlyVpins, rng)
+	return model.TrainingSet(cfg.Obs, cfg.TrainOptions, insts, radiusNorm, onlyVpins, rng)
 }

@@ -13,7 +13,7 @@ func TestPairFilterRules(t *testing.T) {
 	inst := pairs.New(chs[4])
 
 	// No filters: everything legal and distinct is admitted.
-	open := newPairFilter(inst, ML9().withDefaults(), -1)
+	open := ML9().withDefaults().Filter(inst, -1)
 	if open.Admits(0, 0) {
 		t.Error("self-pair admitted")
 	}
@@ -24,7 +24,7 @@ func TestPairFilterRules(t *testing.T) {
 
 	// Neighborhood: radius 0 rejects everything not co-located.
 	cfg := Imp9().withDefaults()
-	tight := newPairFilter(inst, cfg, 0)
+	tight := cfg.Filter(inst, 0)
 	admittedAny := false
 	for b := 0; b < inst.N() && !admittedAny; b++ {
 		if b != 0 && tight.Admits(0, b) && inst.Ex.VpinDist(0, b) > 0 {
@@ -37,7 +37,7 @@ func TestPairFilterRules(t *testing.T) {
 
 	// Y limit rejects pairs with different y.
 	ycfg := WithY(ML9()).withDefaults()
-	yf := newPairFilter(inst, ycfg, -1)
+	yf := ycfg.Filter(inst, -1)
 	for b := 1; b < inst.N(); b++ {
 		if inst.Ex.DiffVpinYOf(0, b) != 0 && yf.Admits(0, b) {
 			t.Fatalf("Y filter admitted pair with DiffVpinY %f", inst.Ex.DiffVpinYOf(0, b))
@@ -67,7 +67,7 @@ func TestSampleNegativeRespectsFilters(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cfg := WithY(Imp9()).withDefaults()
 	radius := NeighborRadiusNorm([]*Instance{inst}, 0.9)
-	filter := newPairFilter(inst, cfg, radius)
+	filter := cfg.Filter(inst, radius)
 
 	vpins := make([]int, inst.N())
 	selected := make([]bool, inst.N())
@@ -99,7 +99,7 @@ func TestSampleNegativeRespectsFilters(t *testing.T) {
 // allocation.
 func TestSampleNegativeFallbackAllocFree(t *testing.T) {
 	inst := pairs.New(challenges(t, 8)[0])
-	filter := newPairFilter(inst, WithY(Imp9()).withDefaults(), NeighborRadiusNorm([]*Instance{inst}, 0.9))
+	filter := WithY(Imp9()).withDefaults().Filter(inst, NeighborRadiusNorm([]*Instance{inst}, 0.9))
 	selected := make([]bool, inst.N())
 	for i := range selected {
 		selected[i] = true

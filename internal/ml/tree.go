@@ -28,6 +28,18 @@ func (k TreeKind) String() string {
 	return "RandomTree"
 }
 
+// ParseTreeKind parses a base-classifier name as the commands and the job
+// server accept it: "reptree" or "randomtree".
+func ParseTreeKind(name string) (TreeKind, error) {
+	switch name {
+	case "reptree":
+		return REPTree, nil
+	case "randomtree":
+		return RandomTree, nil
+	}
+	return 0, fmt.Errorf("unknown base %q (want reptree or randomtree)", name)
+}
+
 // TreeOptions configures tree induction.
 type TreeOptions struct {
 	Kind TreeKind

@@ -47,6 +47,20 @@ func (c TrainContext) Rng(coords ...int64) *rand.Rand {
 	return rng.Derive(c.Seed, units...)
 }
 
+// Train looks up the options' learner family and fits it on ds: the one
+// entry point every training stage (level 1, level 2, the proximity
+// attack's validation model) trains through. The bagging family trains tree
+// t on stream (Seed, Unit, Fold, t) and compiles into its flat-arena form;
+// other families draw their own streams from the same coordinates, so
+// every family's scorer is bit-identical at any worker count.
+func (c TrainContext) Train(ds *ml.Dataset) (pairs.Scorer, error) {
+	fam, err := FamilyByName(c.Opts.Family)
+	if err != nil {
+		return nil, err
+	}
+	return fam.Train(c, ds)
+}
+
 // Family is one learner family: a named, hashable, serializable way to turn
 // a pair-sample dataset into a pairs.Scorer. Families are first-class
 // citizens of the whole train stack — Spec hashes them, the artifact codec
@@ -95,7 +109,7 @@ func Register(f Family) {
 }
 
 // FamilyByName resolves a family; "" means FamilyBagging. Unknown names are
-// an error for callers validating user input (attack.Config.Validate, the
+// an error for callers validating user input (TrainOptions.Validate, the
 // serve layer's 400 path).
 func FamilyByName(name string) (Family, error) {
 	if name == "" {

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -530,5 +531,48 @@ func TestSpecMismatchIsDetectable(t *testing.T) {
 		pairs.NeighborRadiusNorm(append([]*pairs.Instance{insts[0]}, insts[2:]...), 0.9))
 	if fold0.Hash() == fold1.Hash() {
 		t.Fatal("different folds share a spec hash")
+	}
+}
+
+// TestTrainOptionsValidate holds each option to its range: zero selects
+// the default and passes, and a value outside the range is an error
+// instead of being silently replaced by the default.
+func TestTrainOptionsValidate(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name  string
+		set   func(*TrainOptions)
+		valid bool
+	}{
+		{"defaults", func(*TrainOptions) {}, true},
+		{"in range", func(o *TrainOptions) {
+			o.NeighborQuantile, o.MaxLoCFrac, o.NumTrees, o.MaxLoCCount = 1, 0.1, 3, 64
+			o.ShardVpins, o.TrainCap, o.Family = 100, 500, FamilyMLP
+			o.MLPHidden, o.MLPEpochs, o.MLPRate = 4, 2, 0.5
+		}, true},
+		{"no name", func(o *TrainOptions) { o.Name = "" }, false},
+		{"feature past the columns", func(o *TrainOptions) { o.Features = []int{features.NumAll} }, false},
+		{"unknown family", func(o *TrainOptions) { o.Family = "randomforest" }, false},
+		{"quantile above 1", func(o *TrainOptions) { o.NeighborQuantile = 1.5 }, false},
+		{"negative quantile", func(o *TrainOptions) { o.NeighborQuantile = -0.1 }, false},
+		{"NaN quantile", func(o *TrainOptions) { o.NeighborQuantile = nan }, false},
+		{"LoC fraction above 1", func(o *TrainOptions) { o.MaxLoCFrac = 2 }, false},
+		{"NaN LoC fraction", func(o *TrainOptions) { o.MaxLoCFrac = nan }, false},
+		{"negative trees", func(o *TrainOptions) { o.NumTrees = -3 }, false},
+		{"negative LoC count", func(o *TrainOptions) { o.MaxLoCCount = -1 }, false},
+		{"negative region size", func(o *TrainOptions) { o.ShardVpins = -2 }, false},
+		{"negative train cap", func(o *TrainOptions) { o.TrainCap = -1 }, false},
+		{"negative hidden width", func(o *TrainOptions) { o.MLPHidden = -3 }, false},
+		{"negative epochs", func(o *TrainOptions) { o.MLPEpochs = -1 }, false},
+		{"negative rate", func(o *TrainOptions) { o.MLPRate = -0.05 }, false},
+		{"NaN rate", func(o *TrainOptions) { o.MLPRate = nan }, false},
+		{"infinite rate", func(o *TrainOptions) { o.MLPRate = math.Inf(1) }, false},
+	}
+	for _, tc := range cases {
+		o := imp11Opts()
+		tc.set(&o)
+		if err := o.Validate(); (err == nil) != tc.valid {
+			t.Errorf("%s: Validate() = %v, want valid=%t", tc.name, err, tc.valid)
+		}
 	}
 }

@@ -117,25 +117,17 @@ func TrainLevel2(spec Spec, l1 *Artifact) (*Artifact, TrainStats, error) {
 	return art, stats, nil
 }
 
-// trainUnit trains the spec's classifier through its registered Family,
-// handing it the stream coordinates (Seed, unit, Fold). The bagging family
-// trains tree t on stream (Seed, unit, Fold, t) and compiles into its
-// flat-arena form, exactly as this function always did; other families draw
-// their own streams from the same coordinates, so every family's artifact
-// is bit-identical at any worker count.
+// trainUnit trains the spec's classifier on the random streams of one
+// unit of its fold, (Seed, unit, Fold, ...); see TrainContext.Train.
 func trainUnit(spec Spec, ds *ml.Dataset, unit int64) (pairs.Scorer, error) {
-	fam, err := FamilyByName(spec.Opts.Family)
-	if err != nil {
-		return nil, err
-	}
-	return fam.Train(TrainContext{
+	return TrainContext{
 		Obs:     spec.Obs,
 		Opts:    spec.Opts,
 		Seed:    spec.Seed,
 		Unit:    unit,
 		Fold:    spec.Fold,
 		Workers: spec.Workers,
-	}, ds)
+	}.Train(ds)
 }
 
 // level2Sample is one two-level-pruning training row: a feature vector and
@@ -225,18 +217,14 @@ func level2Samples(spec Spec, inst *pairs.Instance, l1 pairs.Scorer, workers, in
 // candidateLists scores every admitted candidate pair of inst with the
 // level-1 model and returns the per-v-pin retained lists, exactly as the
 // attack engine's scoring stage produces them: streamed one spatial region
-// at a time through pairs.ScoreLists — the same engine, the same bounds
-// (fractional MaxLoCFrac tightened by the absolute MaxLoCCount), so the
-// lists are bit-identical to the engine's at any worker count and shard
-// size, and training memory stays bounded on industrial-tier designs.
+// at a time through pairs.ScoreLists — the same engine, the same bound
+// (TrainOptions.RetainCap), so the lists are bit-identical to the engine's
+// at any worker count and shard size, and training memory stays bounded on
+// industrial-tier designs.
 func candidateLists(spec Spec, inst *pairs.Instance, l1 pairs.Scorer, workers int) [][]pairs.Candidate {
 	filter := spec.Opts.Filter(inst, spec.RadiusNorm)
-	capPer := pairs.LoCCap(inst.N(), spec.Opts.MaxLoCFrac)
-	if c := spec.Opts.MaxLoCCount; c > 0 && c < capPer {
-		capPer = c
-	}
 	lists, _ := pairs.ScoreLists(filter, pairs.ResolveBackend(l1, false), pairs.StreamOptions{
-		Cap:        capPer,
+		Cap:        spec.Opts.RetainCap(inst.N()),
 		ShardVpins: spec.Opts.ShardVpins,
 		Workers:    workers,
 		Stride:     features.Width(spec.Opts.Features),

@@ -284,12 +284,12 @@ func (s *Server) handleConfigs(w http.ResponseWriter, r *http.Request) {
 	presets := attack.ConfigPresets()
 	infos := make([]configInfo, 0, len(presets))
 	for _, c := range presets {
-		fam := c.Family
-		if fam == "" {
-			fam = model.FamilyBagging
+		learner := c.Family
+		if fam, err := model.FamilyByName(c.Family); err == nil {
+			learner = fam.Name()
 		}
 		infos = append(infos, configInfo{
-			Name: c.Name, Learner: fam, Features: len(c.Features),
+			Name: c.Name, Learner: learner, Features: len(c.Features),
 			Neighborhood: c.Neighborhood, TwoLevel: c.TwoLevel, Ranking: c.Ranking,
 		})
 	}

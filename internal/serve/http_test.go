@@ -187,6 +187,21 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"ML-9","scalar_scoring":true}}`,
 			http.StatusBadRequest, "invalid_spec"}, // the removed scoring knob is an unknown field
 		{"POST", "/jobs", `{"kind":"attack","design":"sb1"}`, http.StatusBadRequest, "invalid_spec"},
+		// Out-of-range options are rejected, not run as their defaults.
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"Imp-11","neighbor_quantile":1.5}}`,
+			http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"Imp-11","num_trees":-3}}`,
+			http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"Imp-11","max_loc_frac":2}}`,
+			http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"Imp-11","train_cap":-1}}`,
+			http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"DL-MLP","mlp_hidden":-3}}`,
+			http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"DL-MLP","mlp_epochs":-1}}`,
+			http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"DL-MLP","mlp_rate":-0.05}}`,
+			http.StatusBadRequest, "invalid_spec"},
 		{"POST", "/jobs", `{"kind":"attack","design":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
 			http.StatusRequestEntityTooLarge, "invalid_spec"}, // body over the 1 MiB bound
 		{"GET", "/jobs/j-999999", "", http.StatusNotFound, "unknown_job"},

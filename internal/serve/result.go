@@ -56,7 +56,7 @@ type AttackResult struct {
 	// EvalDigest is the canonical content hash of the full evaluation
 	// (attack.Evaluation.Digest): equal digests mean bit-identical scored
 	// candidate lists — the served result matches an in-process
-	// attack.RunTarget of the same spec exactly.
+	// attack.RunTargetInstances of the same spec exactly.
 	EvalDigest string `json:"eval_digest"`
 	// Evaluation carries the full scored candidate lists.
 	Evaluation *Eval            `json:"evaluation,omitempty"`

@@ -4,7 +4,7 @@
 // job's status (live obs.Progress snapshots included), and fetches the
 // Result once the job is done — an Evaluation served this way is
 // bit-identical to the same configuration run in-process through
-// attack.RunTarget.
+// attack.RunTargetInstances.
 //
 // # Concurrency contract
 //

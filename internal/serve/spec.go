@@ -131,9 +131,7 @@ func (cs ConfigSpec) resolve() (attack.Config, error) {
 			return cfg, fmt.Errorf("unknown config preset %q", cs.Preset)
 		}
 		cfg = c
-	case cs.Name != "":
-		cfg = attack.Config{Name: cs.Name}
-	default:
+	case cs.Name == "":
 		return cfg, errors.New("config needs a preset or a name")
 	}
 	if cs.Name != "" {
@@ -154,15 +152,14 @@ func (cs ConfigSpec) resolve() (attack.Config, error) {
 	if cs.TwoLevel != nil {
 		cfg.TwoLevel = *cs.TwoLevel
 	}
-	switch cs.Base {
-	case "", "reptree":
-		// REPTree is the zero TreeKind; presets already carry it.
-	case "randomtree":
-		cfg.BaseKind = ml.RandomTree
-	default:
-		return cfg, fmt.Errorf("unknown base %q (want reptree or randomtree)", cs.Base)
+	if cs.Base != "" {
+		kind, err := ml.ParseTreeKind(cs.Base)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.BaseKind = kind
 	}
-	if cs.NumTrees > 0 {
+	if cs.NumTrees != 0 {
 		cfg.NumTrees = cs.NumTrees
 	}
 	if cs.MaxLoCFrac != 0 {

@@ -75,17 +75,10 @@ func (c *Checkpoint) Save(res *UnitResult) error {
 	if res.Eval == nil {
 		return fmt.Errorf("sweep: refusing to checkpoint unit %s without an evaluation", res.Unit)
 	}
-	payload, err := json.Marshal(res)
+	buf, err := encodeUnit(res)
 	if err != nil {
-		return fmt.Errorf("sweep: encoding unit %s: %w", res.Unit, err)
+		return err
 	}
-	buf := make([]byte, 0, len(unitMagic)+2+4+len(payload)+4)
-	buf = append(buf, unitMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, UnitCodecVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-
 	path := c.path(res.Unit)
 	tmp, err := os.CreateTemp(c.dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -109,7 +102,8 @@ func (c *Checkpoint) Save(res *UnitResult) error {
 
 // Load fetches the unit's partial result. A missing file returns
 // (nil, false, nil): the unit has not been computed. A file that fails any
-// validation layer — magic, version, length, CRC, JSON — is deleted and
+// validation layer — magic, version, length, CRC, JSON, the evaluation's
+// shape (see checkEval) — is deleted and
 // reported as (nil, true, nil): corrupt partials are discarded and
 // recomputed, never served. A file that validates but describes a
 // *different* unit (possible only through renaming or a hash collision)
@@ -137,7 +131,22 @@ func (c *Checkpoint) Load(u Unit) (res *UnitResult, discarded bool, err error) {
 	return res, false, nil
 }
 
-// decodeUnit validates the container and decodes the payload.
+// encodeUnit serializes a unit result into the container format above.
+func encodeUnit(res *UnitResult) ([]byte, error) {
+	payload, err := json.Marshal(res)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: encoding unit %s: %w", res.Unit, err)
+	}
+	buf := make([]byte, 0, len(unitMagic)+2+4+len(payload)+4)
+	buf = append(buf, unitMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, UnitCodecVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+}
+
+// decodeUnit validates the container, decodes the payload, and checks the
+// evaluation it holds.
 func decodeUnit(data []byte) (*UnitResult, error) {
 	headerLen := len(unitMagic) + 2 + 4
 	if len(data) < headerLen+4 {
@@ -161,8 +170,45 @@ func decodeUnit(data []byte) (*UnitResult, error) {
 	if err := json.Unmarshal(data[headerLen:len(data)-4], res); err != nil {
 		return nil, fmt.Errorf("sweep: decoding unit payload: %w", err)
 	}
-	if res.Eval == nil {
-		return nil, errors.New("sweep: unit file has no evaluation")
+	if err := checkEval(res); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// checkEval rejects a decoded evaluation that is not the unit's or that
+// Digest and the metrics would index out of range: every per-v-pin slice
+// holds N entries (so N is not negative), and every truth, candidate and
+// subset entry names one of the N v-pins (a truth may also be -1,
+// unmatched).
+func checkEval(res *UnitResult) error {
+	ev, u := res.Eval, res.Unit
+	if ev == nil {
+		return errors.New("sweep: unit file has no evaluation")
+	}
+	if ev.ConfigName != u.Config || ev.Design != u.Design || ev.SplitLayer != u.Layer {
+		return fmt.Errorf("sweep: unit %s holds an evaluation of %s on %s at layer %d",
+			u, ev.ConfigName, ev.Design, ev.SplitLayer)
+	}
+	n := ev.N
+	if len(ev.Truth) != n || len(ev.TruthP) != n || len(ev.Cands) != n {
+		return fmt.Errorf("sweep: unit %s: evaluation of %d v-pins holds %d truths, %d truth probabilities and %d lists",
+			u, n, len(ev.Truth), len(ev.TruthP), len(ev.Cands))
+	}
+	for a := 0; a < n; a++ {
+		if t := ev.Truth[a]; t < -1 || int(t) >= n {
+			return fmt.Errorf("sweep: unit %s: v-pin %d has truth %d of %d v-pins", u, a, t, n)
+		}
+		for _, c := range ev.Cands[a] {
+			if c.Other < 0 || int(c.Other) >= n {
+				return fmt.Errorf("sweep: unit %s: v-pin %d lists candidate %d of %d v-pins", u, a, c.Other, n)
+			}
+		}
+	}
+	for _, a := range ev.Subset {
+		if a < 0 || a >= n {
+			return fmt.Errorf("sweep: unit %s: subset names v-pin %d of %d", u, a, n)
+		}
+	}
+	return nil
 }

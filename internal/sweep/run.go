@@ -39,7 +39,9 @@ func (o Outcome) String() string {
 // exists, otherwise compute it with attack.RunFoldInstances and persist it.
 // The result is bit-identical either way — the checkpoint codec round-trips
 // every evaluation bit — so callers can mix loaded and computed units
-// freely. A nil checkpoint always computes.
+// freely. A loaded unit whose v-pin count differs from the prepared held-out
+// design's is recomputed like a corrupt one. A nil checkpoint always
+// computes.
 //
 // Outcomes land on the obs counters sweep.units.done (computed),
 // sweep.units.skipped (served from checkpoint), and sweep.units.recomputed
@@ -65,11 +67,13 @@ func RunUnit(o *obs.Context, ck *Checkpoint, u Unit, cfg attack.Config,
 		if err != nil {
 			return nil, 0, Computed, err
 		}
-		if res != nil {
+		if res != nil && res.Eval.N == insts[u.Fold].N() {
 			o.Metrics().Counter("sweep.units.skipped").Inc()
 			return res.Eval, res.RadiusNorm, Loaded, nil
 		}
-		discarded = disc
+		// A unit that does not cover the prepared design's v-pins is
+		// discarded like a torn file: recomputed, and overwritten below.
+		discarded = disc || res != nil
 	}
 
 	ev, radius, err := attack.RunFoldInstances(cfg, insts, u.Fold)

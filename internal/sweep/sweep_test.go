@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/layout"
+	"repro/internal/split"
 )
 
 func testUnit() Unit {
@@ -232,6 +234,114 @@ func TestCheckpointCorruptionDiscarded(t *testing.T) {
 				t.Fatalf("Load after discard = %v, %t, %v; want clean miss", res, discarded, err)
 			}
 		})
+	}
+}
+
+// TestCheckpointInconsistentEvalDiscarded saves units whose evaluation
+// passes the container checks but is not consistent with itself or its
+// unit. Each must be discarded like a torn file instead of being served to
+// Digest or a metric, which would index out of range.
+func TestCheckpointInconsistentEvalDiscarded(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*attack.Evaluation)
+	}{
+		{"n-beyond-slices", func(ev *attack.Evaluation) { ev.N = 5 }},
+		{"negative-n", func(ev *attack.Evaluation) { ev.N = -1 }},
+		{"short-truth", func(ev *attack.Evaluation) { ev.Truth = ev.Truth[:2] }},
+		{"short-truthp", func(ev *attack.Evaluation) { ev.TruthP = ev.TruthP[:2] }},
+		{"short-cands", func(ev *attack.Evaluation) { ev.Cands = ev.Cands[:2] }},
+		{"truth-past-n", func(ev *attack.Evaluation) { ev.Truth[2] = 3 }},
+		{"truth-below-unmatched", func(ev *attack.Evaluation) { ev.Truth[2] = -2 }},
+		{"candidate-past-n", func(ev *attack.Evaluation) { ev.Cands[0][1].Other = 1 << 30 }},
+		{"negative-candidate", func(ev *attack.Evaluation) { ev.Cands[1][0].Other = -1 }},
+		{"subset-past-n", func(ev *attack.Evaluation) { ev.Subset[2] = 3 }},
+		{"negative-subset", func(ev *attack.Evaluation) { ev.Subset[0] = -1 }},
+		{"other-config", func(ev *attack.Evaluation) { ev.ConfigName = "Imp-9" }},
+		{"other-design", func(ev *attack.Evaluation) { ev.Design = "sb1" }},
+		{"other-layer", func(ev *attack.Evaluation) { ev.SplitLayer = 8 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			u := testUnit()
+			ev := syntheticEval()
+			tc.mutate(ev)
+			if err := ck.Save(&UnitResult{Unit: u, Eval: ev}); err != nil {
+				t.Fatal(err)
+			}
+			res, discarded, err := ck.Load(u)
+			if err != nil {
+				t.Fatalf("Load of an inconsistent unit errored (%v); want discard", err)
+			}
+			if res != nil {
+				// What a merge would do next with the served unit.
+				res.Eval.Digest()
+				res.Eval.AccuracyAtK(1)
+				t.Fatal("inconsistent unit was served")
+			}
+			if !discarded {
+				t.Fatal("inconsistent unit not reported as discarded")
+			}
+		})
+	}
+	// The unmodified evaluation is consistent and loads.
+	ck, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Save(&UnitResult{Unit: testUnit(), Eval: syntheticEval()}); err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := ck.Load(testUnit()); res == nil || err != nil {
+		t.Fatalf("consistent unit: res=%v err=%v", res, err)
+	}
+}
+
+// TestRunUnitRecomputesOtherVpinCount checkpoints a consistent evaluation
+// of the wrong size for a real fold: RunUnit must recompute it rather than
+// serve it, and overwrite the file with the fold's own result.
+func TestRunUnitRecomputesOtherVpinCount(t *testing.T) {
+	prov := Provenance{Scale: 0.12, Seed: 3}
+	designs, err := layout.GenerateSuite(layout.SuiteConfig{Scale: prov.Scale, Seed: prov.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chs := make([]*split.Challenge, len(designs))
+	for i, d := range designs {
+		if chs[i], err = split.NewChallenge(d, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insts := attack.NewInstancesWorkers(chs, 0)
+	cfg := attack.ML9()
+	cfg.NumTrees = 2
+	cfg.Seed = prov.Seed
+	u := NewUnit(prov, cfg, 8, 0, 0, insts[0].Ch.Design.Name)
+	ck, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := &attack.Evaluation{ConfigName: cfg.Name, Design: u.Design, SplitLayer: u.Layer}
+	if err := ck.Save(&UnitResult{Unit: u, Eval: stale}); err != nil {
+		t.Fatal(err)
+	}
+	ev, _, outcome, err := RunUnit(nil, ck, u, cfg, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != Recomputed || ev.N != insts[0].N() {
+		t.Fatalf("RunUnit = %s with %d v-pins; want recomputed with %d", outcome, ev.N, insts[0].N())
+	}
+	again, _, outcome, err := RunUnit(nil, ck, u, cfg, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != Loaded || again.Digest() != ev.Digest() {
+		t.Fatalf("second RunUnit = %s; want the recomputed unit loaded", outcome)
 	}
 }
 
