@@ -84,7 +84,6 @@ func main() {
 	}
 	suite.SetModelStore(app.ModelStore())
 	suite.Checkpoint = app.Checkpoint()
-	suite.Shard = shard
 	for _, d := range suite.Designs {
 		fmt.Printf("  %-5s cells=%d nets=%d\n", d.Name, len(d.Netlist.Cells), len(d.Netlist.Nets))
 	}
@@ -94,7 +93,7 @@ func main() {
 		// Shard mode: compute this shard's work units into the checkpoint
 		// and exit. Rendering happens in a later merge run (no -shard).
 		t := time.Now()
-		stats, err := suite.RunPlan(suite.Plan(selected))
+		stats, err := suite.RunPlan(experiments.Plan(selected), shard)
 		if err != nil {
 			cli.Fatal(err)
 		}
@@ -102,8 +101,8 @@ func main() {
 		app.Finish(o, map[string]any{"run": *run, "shard": shard.String()}, map[string]any{
 			"units_planned":    stats.Planned,
 			"units_owned":      stats.Owned,
-			"units_computed":   stats.Computed,
-			"units_loaded":     stats.Loaded,
+			"units_computed":   stats.Done,
+			"units_loaded":     stats.Skipped,
 			"units_recomputed": stats.Recomputed,
 		})
 		return

@@ -17,12 +17,12 @@ func TestSuiteArtifactCacheHits(t *testing.T) {
 	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
 	s.Obs = o
 
-	if _, err := s.Run(attack.Imp11(), 8); err != nil {
+	if _, err := s.RunNoisy(attack.Imp11(), 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	two := attack.WithTwoLevel(attack.Imp11())
 	two.Name += "-2L"
-	if _, err := s.Run(two, 8); err != nil {
+	if _, err := s.RunNoisy(two, 8, 0); err != nil {
 		t.Fatal(err)
 	}
 

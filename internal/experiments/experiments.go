@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section on the synthetic benchmark suite. Each experiment is
-// registered under the paper's table/figure number and writes a plain-text
-// reproduction of the corresponding rows or series.
+// registered under the paper's table/figure number, declares the
+// leave-one-out runs it reads, and writes a plain-text reproduction of the
+// corresponding rows or series from those runs' results.
 //
 // Attack runs are cached per (configuration content hash, split layer,
 // noise) inside a Suite, so experiments that share underlying runs (Tables
@@ -9,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -52,11 +54,6 @@ type Suite struct {
 	// partials that other shards (or machines) computed. Every learner
 	// family checkpoints — MLP folds resume exactly like Bagging folds.
 	Checkpoint *sweep.Checkpoint
-	// Shard restricts RunPlan to the units this shard owns (the "-shard
-	// i/n" partition). The zero value owns everything. Run/RunNoisy ignore
-	// it: a rendering run always needs every fold, loading what shards
-	// computed and computing only what is missing.
-	Shard sweep.Shard
 
 	mu    sync.Mutex
 	chs   map[int][]*split.Challenge
@@ -229,17 +226,11 @@ func runKey(cfg attack.Config, layer int, sd float64) string {
 	return fmt.Sprintf("%s@%d/%g", cfg.OptionsHash(), layer, sd)
 }
 
-// Run executes (and caches) a leave-one-out attack run of cfg at the given
-// split layer.
-func (s *Suite) Run(cfg attack.Config, layer int) (*attack.Result, error) {
-	return s.RunNoisy(cfg, layer, 0)
-}
-
 // RunNoisy executes (and caches) a leave-one-out run of cfg at the given
 // split layer on challenges with Gaussian y-noise of standard deviation sd
-// (a fraction of die height; 0 is the clean suite). Every fold is a sweep
-// unit: with a Checkpoint, folds already in it are loaded and the rest are
-// computed and saved; either way the Result is bit-identical to
+// (a fraction of die height; 0 is the clean suite). It is sweep.Run with
+// the zero shard: with a Checkpoint, folds already in it are loaded and the
+// rest are computed and saved; either way the Result is bit-identical to
 // attack.RunInstances on the same instances.
 func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Result, error) {
 	key := runKey(cfg, layer, sd)
@@ -255,13 +246,9 @@ func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Resu
 	if err != nil {
 		return nil, err
 	}
-	pcfg := s.prepare(cfg)
-	r, err = attack.RunFolds(pcfg, insts, func(fold, _ int, _ *obs.Span) (*attack.Evaluation, float64, error) {
-		ev, radius, _, err := sweep.RunUnit(s.Obs, s.Checkpoint, s.unit(pcfg, layer, sd, fold), pcfg, insts)
-		return ev, radius, err
-	})
+	r, _, err = sweep.Run(context.TODO(), s.Checkpoint, s.provenance(), sweep.Shard{}, s.prepare(cfg), sd, insts)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s at layer %d: %w", pcfg.Name, layer, err)
+		return nil, fmt.Errorf("experiments: %s at layer %d: %w", cfg.Name, layer, err)
 	}
 	s.mu.Lock()
 	s.runs[key] = r
@@ -269,17 +256,16 @@ func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Resu
 	return r, nil
 }
 
-// unit builds the sweep work unit of one fold.
-func (s *Suite) unit(pcfg attack.Config, layer int, sd float64, fold int) sweep.Unit {
-	prov := sweep.Provenance{Tier: s.Tier, Scale: s.Scale, Seed: s.Seed}
-	return sweep.NewUnit(prov, pcfg, layer, sd, fold, s.Designs[fold].Name)
+// provenance pins the suite for the sweep units of its runs.
+func (s *Suite) provenance() sweep.Provenance {
+	return sweep.Provenance{Tier: s.Tier, Scale: s.Scale, Seed: s.Seed}
 }
 
-// RunPA executes (and caches) the validation-based proximity attack of cfg
+// runPA executes (and caches) the validation-based proximity attack of cfg
 // at the given split layer, optionally on noise-obfuscated challenges
 // (sd > 0, as a fraction of die height). It reuses the cached attack run's
 // candidate lists; only the PA-LoC validation stage is new work.
-func (s *Suite) RunPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutcome, error) {
+func (s *Suite) runPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutcome, error) {
 	key := runKey(cfg, layer, sd)
 	s.mu.Lock()
 	out, ok := s.pa[key]
@@ -320,35 +306,6 @@ func (s *Suite) sweep(name string, n int, fn func(i int) error) error {
 	})
 }
 
-// RunAll executes (and caches) the leave-one-out attack runs of all
-// configs at the given split layer, sweeping the configs across the
-// suite's worker pool. Results are position-matched to cfgs and identical
-// to len(cfgs) sequential Run calls; table experiments use this to
-// prefetch every column before printing.
-func (s *Suite) RunAll(cfgs []attack.Config, layer int) ([]*attack.Result, error) {
-	out := make([]*attack.Result, len(cfgs))
-	err := s.sweep(fmt.Sprintf("configs.L%d", layer), len(cfgs), func(i int) error {
-		r, err := s.Run(cfgs[i], layer)
-		out[i] = r
-		return err
-	})
-	return out, err
-}
-
-// RunPAAll executes (and caches) the validation-based proximity attacks of
-// all configs at the given split layer and noise level, sweeping the
-// configs across the suite's worker pool. Results are position-matched to
-// cfgs and identical to sequential RunPA calls.
-func (s *Suite) RunPAAll(cfgs []attack.Config, layer int, sd float64) ([][]attack.PAOutcome, error) {
-	out := make([][]attack.PAOutcome, len(cfgs))
-	err := s.sweep(fmt.Sprintf("pa.L%d", layer), len(cfgs), func(i int) error {
-		o, err := s.RunPA(cfgs[i], layer, sd)
-		out[i] = o
-		return err
-	})
-	return out, err
-}
-
 // nnPA returns the nearest-neighbour PA success of design d at the given
 // layer, cached per layer.
 func (s *Suite) nnPA(layer, d int) float64 {
@@ -375,38 +332,49 @@ func (s *Suite) nnPA(layer, d int) float64 {
 	return v[d]
 }
 
-// Experiment is one reproducible table or figure.
+// Experiment is one reproducible table or figure: the leave-one-out runs it
+// reads, declared once, and a renderer that can read only those.
 type Experiment struct {
 	// ID is the registry key: "table1".."table6", "fig4".."fig10".
 	ID string
 	// Title describes what the paper reports there.
 	Title string
-	// Run writes the reproduction to w.
-	Run func(s *Suite, w io.Writer) error
-	// Deps enumerates the leave-one-out attack runs the experiment consumes
-	// (see plan.go), which is what lets a sweep over experiments decompose
-	// into shardable work units before anything executes. Nil means the
-	// experiment needs no attack runs (fig4/7/8) or its runs cannot be
-	// enumerated up front (out-of-suite defense variants). Deps only covers
-	// the attack-run stage: proximity validation and rendering always run
-	// in the merge process, on top of checkpointed folds.
-	Deps func() []RunSpec
+	// Runs declares every suite run the renderer reads. It is both what
+	// Run computes before rendering and what a sharded sweep plans (see
+	// Plan), so a shard precomputes exactly the folds the merge renders
+	// from. Experiments that read no run (fig4/7/8) declare none;
+	// ext-defense's defense variants mutate layouts out of the suite and
+	// run themselves.
+	Runs []RunSpec
+	// render writes the reproduction to w from the declared runs' results.
+	render func(s *Suite, r Results, w io.Writer) error
+}
+
+// Run computes the experiment's declared runs and renders it to w. The runs
+// share the suite's pool — Workers runs at a time, each over Workers folds —
+// and are cached and checkpointed through RunNoisy.
+func (e Experiment) Run(s *Suite, w io.Writer) error {
+	r, err := s.results(e)
+	if err != nil {
+		return err
+	}
+	return e.render(s, r, w)
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{ID: "table1", Title: "Table I: comparison with prior work [5] across split layers", Run: TableI, Deps: depsTableI},
-		{ID: "table2", Title: "Table II: RandomTree vs REPTree base classifiers (Imp-7)", Run: TableII, Deps: depsTableII},
-		{ID: "table3", Title: "Table III: two-level pruning vs no pruning (Imp-11, layer 8)", Run: TableIII, Deps: depsTableIII},
-		{ID: "table4", Title: "Table IV: model configurations, LoC/accuracy trade-offs, runtime", Run: TableIV, Deps: depsTableIV},
-		{ID: "table5", Title: "Table V: proximity attack success rates", Run: TableV, Deps: depsTableIV},
-		{ID: "table6", Title: "Table VI: proximity attack under design obfuscation", Run: TableVI, Deps: depsNoise},
-		{ID: "fig4", Title: "Fig. 4: CDF of matched-pair ManhattanVpin (layer 6)", Run: Fig4},
-		{ID: "fig7", Title: "Fig. 7: feature importance rankings across layers", Run: Fig7},
-		{ID: "fig8", Title: "Fig. 8: feature distributions by class (layer 6)", Run: Fig8},
-		{ID: "fig9", Title: "Fig. 9: LoC-fraction vs accuracy trade-off curves", Run: Fig9, Deps: depsTableIV},
-		{ID: "fig10", Title: "Fig. 10: trade-off curves with and without obfuscation noise", Run: Fig10, Deps: depsNoise},
+		{ID: "table1", Title: "Table I: comparison with prior work [5] across split layers", Runs: crossLayers(attack.StandardConfigs(), tableLayers), render: tableI},
+		{ID: "table2", Title: "Table II: RandomTree vs REPTree base classifiers (Imp-7)", Runs: crossLayers(tableIIRuns()), render: tableII},
+		{ID: "table3", Title: "Table III: two-level pruning vs no pruning (Imp-11, layer 8)", Runs: crossLayers(tableIIIRuns()), render: tableIII},
+		{ID: "table4", Title: "Table IV: model configurations, LoC/accuracy trade-offs, runtime", Runs: tableIVSpecs(), render: tableIV},
+		{ID: "table5", Title: "Table V: proximity attack success rates", Runs: withPA(tableIVSpecs()), render: tableV},
+		{ID: "table6", Title: "Table VI: proximity attack under design obfuscation", Runs: withPA(noiseSpecs()), render: tableVI},
+		{ID: "fig4", Title: "Fig. 4: CDF of matched-pair ManhattanVpin (layer 6)", render: fig4},
+		{ID: "fig7", Title: "Fig. 7: feature importance rankings across layers", render: fig7},
+		{ID: "fig8", Title: "Fig. 8: feature distributions by class (layer 6)", render: fig8},
+		{ID: "fig9", Title: "Fig. 9: LoC-fraction vs accuracy trade-off curves", Runs: tableIVSpecs(), render: fig9},
+		{ID: "fig10", Title: "Fig. 10: trade-off curves with and without obfuscation noise", Runs: noiseSpecs(), render: fig10},
 	}
 }
 

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -42,20 +44,20 @@ func TestNewSuite(t *testing.T) {
 // shard planner keeps both.
 func TestSuiteRunCacheKeysOnOptions(t *testing.T) {
 	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
-	base, err := s.Run(attack.Imp9(), 8)
+	base, err := s.RunNoisy(attack.Imp9(), 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	small := attack.Imp9()
 	small.NumTrees = 3
-	got, err := s.Run(small, 8)
+	got, err := s.RunNoisy(small, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got == base {
 		t.Fatal("Imp-9 with 3 trees was served Imp-9's cached result")
 	}
-	want, err := NewSuiteFromDesigns(s.Designs, 0.12, 3).Run(small, 8)
+	want, err := NewSuiteFromDesigns(s.Designs, 0.12, 3).RunNoisy(small, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +66,9 @@ func TestSuiteRunCacheKeysOnOptions(t *testing.T) {
 			t.Errorf("fold %d: digest differs from a fresh suite's run", i)
 		}
 	}
-	if again, _ := s.RunNoisy(small, 8, 0); again != got {
-		t.Error("RunNoisy at noise 0 missed Run's cache entry")
-	}
-	units := s.PlanRuns([]RunSpec{{Config: attack.Imp9(), Layer: 8}, {Config: small, Layer: 8}})
-	if len(units) != 2*len(s.Designs) {
-		t.Errorf("plan has %d units, want %d: same-name configs were deduplicated", len(units), 2*len(s.Designs))
+	plan := Plan([]Experiment{{Runs: []RunSpec{{Config: attack.Imp9(), Layer: 8}, {Config: small, Layer: 8}}}})
+	if len(plan) != 2 {
+		t.Errorf("plan has %d runs, want 2: same-name configs were deduplicated", len(plan))
 	}
 }
 
@@ -90,11 +89,11 @@ func TestChallengesCached(t *testing.T) {
 
 func TestRunCached(t *testing.T) {
 	s := testSuite(t)
-	a, err := s.Run(attack.Imp9(), 8)
+	a, err := s.RunNoisy(attack.Imp9(), 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run(attack.Imp9(), 8)
+	b, err := s.RunNoisy(attack.Imp9(), 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestAllExperimentsComplete(t *testing.T) {
 	ids := map[string]bool{}
 	for _, e := range All() {
 		ids[e.ID] = true
-		if e.Title == "" || e.Run == nil {
+		if e.Title == "" || e.render == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
@@ -159,6 +158,68 @@ func TestAllExperimentsComplete(t *testing.T) {
 		if !ids[want] {
 			t.Errorf("experiment %s missing", want)
 		}
+	}
+}
+
+// TestExperimentsReadExactlyTheirRuns holds every registered experiment to
+// its declaration: it renders from the results of its declared runs (and
+// proximity attacks) alone, starting none through the suite it renders
+// with, and it reads every run it declares, or that run's proximity attack
+// where it declares one.
+func TestExperimentsReadExactlyTheirRuns(t *testing.T) {
+	s := testSuite(t)
+	view := NewSuiteFromDesigns(s.Designs, s.Scale, s.Seed)
+	for _, e := range AllWithExtensions() {
+		r, err := s.results(e)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if err := e.render(view, r, io.Discard); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if len(view.runs) != 0 || len(view.pa) != 0 {
+			t.Errorf("%s started %d runs and %d proximity attacks outside its declaration",
+				e.ID, len(view.runs), len(view.pa))
+		}
+		for _, spec := range e.Runs {
+			key, what := runKey(spec.Config, spec.Layer, spec.Noise), "run"
+			if spec.PA {
+				key, what = "pa "+key, "proximity attack"
+			}
+			if !r.read[key] {
+				t.Errorf("%s declares the %s of %s at layer %d, noise %g, but never reads it",
+					e.ID, what, spec.Config.Name, spec.Layer, spec.Noise)
+			}
+		}
+	}
+}
+
+// TestUndeclaredReadPanics: a renderer reading a run, or a proximity
+// attack, that its experiment does not declare fails loudly, naming the
+// experiment.
+func TestUndeclaredReadPanics(t *testing.T) {
+	s := testSuite(t)
+	reads := map[string]func(Results){
+		"run":       func(r Results) { r.Result(attack.ML9(), 8, 0) },
+		"proximity": func(r Results) { r.PA(attack.Imp9(), 8, 0) },
+	}
+	for name, read := range reads {
+		e := Experiment{
+			ID:   "undeclared-" + name,
+			Runs: []RunSpec{{Config: attack.Imp9(), Layer: 8}},
+			render: func(_ *Suite, r Results, _ io.Writer) error {
+				read(r)
+				return nil
+			},
+		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, e.ID) {
+					t.Errorf("%s: recovered %q, want a panic naming the experiment", name, msg)
+				}
+			}()
+			e.Run(s, io.Discard)
+		}()
 	}
 }
 

@@ -23,10 +23,10 @@ import (
 // extExperiments returns the extension experiments.
 func extExperiments() []Experiment {
 	return []Experiment{
-		{ID: "ext-classifiers", Title: "Extension: classifier bake-off (Bagging/REPTree vs RandomForest vs logistic)", Run: ExtClassifiers, Deps: depsExtClassifiers},
-		{ID: "ext-dl", Title: "Extension: DL-perspective attack (MLP + routing hints + list-wise ranking) vs Bagging", Run: ExtDL, Deps: depsExtDL},
-		{ID: "ext-defense", Title: "Extension: layout-level defenses (routing perturbation, wire lifting, trunk jogs) vs attack", Run: ExtDefense, Deps: depsExtDefense},
-		{ID: "ext-recovery", Title: "Extension: functional netlist recovery from PA pairings (logic simulation)", Run: ExtRecovery, Deps: depsExtRecovery},
+		{ID: "ext-classifiers", Title: "Extension: classifier bake-off (Bagging/REPTree vs RandomForest vs logistic)", Runs: crossLayers(extClassifiersRuns()), render: extClassifiers},
+		{ID: "ext-dl", Title: "Extension: DL-perspective attack (MLP + routing hints + list-wise ranking) vs Bagging", Runs: crossLayers(extDLRuns()), render: extDL},
+		{ID: "ext-defense", Title: "Extension: layout-level defenses (routing perturbation, wire lifting, trunk jogs) vs attack", Runs: crossLayers(extDefenseRuns()), render: extDefense},
+		{ID: "ext-recovery", Title: "Extension: functional netlist recovery from PA pairings (logic simulation)", Runs: withPA(crossLayers(extRecoveryRuns())), render: extRecovery},
 	}
 }
 
@@ -37,7 +37,7 @@ func extDLRuns() ([]attack.Config, []int) {
 	return []attack.Config{attack.Imp11(), attack.DLMLP(), attack.DLMLPRank()}, []int{8}
 }
 
-// ExtDL recasts the DL-perspective split-manufacturing attack (Li et al.,
+// extDL recasts the DL-perspective split-manufacturing attack (Li et al.,
 // DAC'19/TCAD'20) onto this engine at the top split layer: a multi-layer
 // perceptron over the widened feature set including the routing-hint block,
 // with and without the list-wise ranking head, against the paper's Bagging
@@ -47,13 +47,10 @@ func extDLRuns() ([]attack.Config, []int) {
 // per list: CCR and accuracy-at-K match the plain MLP exactly, while the
 // scores become per-list probability distributions (visible in the AUC,
 // which pools scores across lists).
-func ExtDL(s *Suite, w io.Writer) error {
+func extDL(_ *Suite, r Results, w io.Writer) error {
 	configs, layers := extDLRuns()
 	layer := layers[0]
-	results, err := s.RunAll(configs, layer)
-	if err != nil {
-		return err
-	}
+	results := r.All(configs, layer)
 	fmt.Fprintf(w, "Extension: DL-perspective attack - split layer %d\n", layer)
 	tw := newTab(w)
 	fmt.Fprintln(tw, "model\tCCR\tacc@|LoC|=5\tacc@|LoC|=10\tpair AUC\truntime")
@@ -81,12 +78,12 @@ func extRecoveryRuns() ([]attack.Config, []int) {
 	return []attack.Config{attack.WithY(attack.Imp9())}, []int{8}
 }
 
-// ExtRecovery goes past the paper's structural PA metric: it rewires each
+// extRecovery goes past the paper's structural PA metric: it rewires each
 // design's BEOL according to the attacker's proximity-attack picks and
 // simulates the reconstruction against the reference on random input
 // vectors. Functional recovery exceeds structural success because wrong
 // guesses often wire in correlated signals.
-func ExtRecovery(s *Suite, w io.Writer) error {
+func extRecovery(s *Suite, r Results, w io.Writer) error {
 	const vectors = 16
 	configs, layers := extRecoveryRuns()
 	cfg, layer := configs[0], layers[0]
@@ -94,14 +91,7 @@ func ExtRecovery(s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := s.Run(cfg, layer)
-	if err != nil {
-		return err
-	}
-	pa, err := s.RunPA(cfg, layer, 0)
-	if err != nil {
-		return err
-	}
+	res, pa := r.Result(cfg, layer, 0), r.PA(cfg, layer, 0)
 
 	fmt.Fprintf(w, "Extension: netlist recovery - split layer %d (Imp-9Y picks, %d vectors)\n", layer, vectors)
 	tw := newTab(w)
@@ -149,18 +139,15 @@ func extClassifiersRuns() ([]attack.Config, []int) {
 	return []attack.Config{attack.Imp11(), forest, logistic}, []int{8, 6}
 }
 
-// ExtClassifiers compares classifiers under the Imp-11 pipeline at split
+// extClassifiers compares classifiers under the Imp-11 pipeline at split
 // layers 8 and 6: accuracy at fixed LoC sizes plus the pair-scoring AUC.
-func ExtClassifiers(s *Suite, w io.Writer) error {
+func extClassifiers(_ *Suite, r Results, w io.Writer) error {
 	configs, layers := extClassifiersRuns()
 	for _, layer := range layers {
 		fmt.Fprintf(w, "Extension: classifier comparison - split layer %d (Imp-11 pipeline)\n", layer)
 		tw := newTab(w)
 		fmt.Fprintln(tw, "classifier\tacc@|LoC|=5\tacc@|LoC|=20\tpair AUC\truntime")
-		results, err := s.RunAll(configs, layer)
-		if err != nil {
-			return err
-		}
+		results := r.All(configs, layer)
 		for ci, cfg := range configs {
 			res := results[ci]
 			var a5, a20, auc float64
@@ -207,11 +194,11 @@ func extDefenseRuns() ([]attack.Config, []int) {
 	return []attack.Config{attack.Imp11()}, []int{6}
 }
 
-// ExtDefense measures the attack against layout-level defenses at split
+// extDefense measures the attack against layout-level defenses at split
 // layer 6: routing perturbation with growing strength and wire lifting,
 // reporting attack accuracy, v-pin population, and wirelength overhead.
 // Every defense variant attacks with the baseline's configuration.
-func ExtDefense(s *Suite, w io.Writer) error {
+func extDefense(s *Suite, r Results, w io.Writer) error {
 	configs, layers := extDefenseRuns()
 	baseCfg, layer := configs[0], layers[0]
 	type variant struct {
@@ -233,10 +220,7 @@ func ExtDefense(s *Suite, w io.Writer) error {
 		}},
 	}
 
-	base, err := s.Run(baseCfg, layer)
-	if err != nil {
-		return err
-	}
+	base := r.Result(baseCfg, layer, 0)
 	baseTiming := make([]timing.DesignTiming, len(s.Designs))
 	for i, d := range s.Designs {
 		baseTiming[i] = timing.Analyze(d)

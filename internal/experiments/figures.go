@@ -27,10 +27,10 @@ func normMatchDists(ch *split.Challenge) []float64 {
 	return out
 }
 
-// Fig4 reproduces Fig. 4: for each design, the CDF of the normalised
+// fig4 reproduces Fig. 4: for each design, the CDF of the normalised
 // matched-pair ManhattanVpin over the *other* four designs at split layer 6
 // — the distribution the Imp neighborhood radius is read from.
-func Fig4(s *Suite, w io.Writer) error {
+func fig4(s *Suite, _ Results, w io.Writer) error {
 	chs, err := s.Challenges(6)
 	if err != nil {
 		return err
@@ -88,10 +88,10 @@ func figTrainingSamples(s *Suite, layer, design int) (*ml.Dataset, error) {
 	return ds, nil
 }
 
-// Fig7 reproduces Fig. 7: the information gain, absolute correlation
+// fig7 reproduces Fig. 7: the information gain, absolute correlation
 // coefficient, and Fisher's discriminant ratio of all 11 features, per
 // design, for split layers 4, 6 and 8.
-func Fig7(s *Suite, w io.Writer) error {
+func fig7(s *Suite, _ Results, w io.Writer) error {
 	metrics := []struct {
 		name string
 		f    func(xs []float64, ys []bool) float64
@@ -141,10 +141,10 @@ func Fig7(s *Suite, w io.Writer) error {
 	return nil
 }
 
-// Fig8 reproduces Fig. 8: per-feature class-conditional distributions of
+// fig8 reproduces Fig. 8: per-feature class-conditional distributions of
 // the pooled layer-6 training samples, as 10-bin histograms plus summary
 // statistics.
-func Fig8(s *Suite, w io.Writer) error {
+func fig8(s *Suite, _ Results, w io.Writer) error {
 	chs, err := s.Challenges(6)
 	if err != nil {
 		return err
@@ -227,10 +227,10 @@ func histCounts(xs []float64, edges []float64) []int {
 	return counts
 }
 
-// Fig9 reproduces Fig. 9: the LoC-fraction vs average-accuracy trade-off
+// fig9 reproduces Fig. 9: the LoC-fraction vs average-accuracy trade-off
 // curves of every configuration (plus the Y variants at layer 8) and the
 // prior-work [5] reference curve, for split layers 8, 6 and 4.
-func Fig9(s *Suite, w io.Writer) error {
+func fig9(s *Suite, r Results, w io.Writer) error {
 	fracs := attack.CurveFractions()
 	slacks := []float64{0.1, 0.25, 0.5, 1, 2, 4, 8}
 	for _, layer := range []int{8, 6, 4} {
@@ -241,11 +241,7 @@ func Fig9(s *Suite, w io.Writer) error {
 		configs := tableIVConfigs(layer)
 		curves := make([][]attack.TradeoffPoint, len(configs))
 		for i, cfg := range configs {
-			res, err := s.Run(cfg, layer)
-			if err != nil {
-				return err
-			}
-			curves[i] = attack.Curve(res.Evals, fracs)
+			curves[i] = attack.Curve(r.Result(cfg, layer, 0).Evals, fracs)
 		}
 		priorCurve, err := priorwork.Curve(chs, slacks, s.Seed)
 		if err != nil {
@@ -279,19 +275,15 @@ func Fig9(s *Suite, w io.Writer) error {
 	return nil
 }
 
-// Fig10 reproduces Fig. 10: Imp-11 trade-off curves with and without
+// fig10 reproduces Fig. 10: Imp-11 trade-off curves with and without
 // obfuscation noise (SD = 1 and 2 % of die height) at split layers 6 and 4.
-func Fig10(s *Suite, w io.Writer) error {
+func fig10(_ *Suite, r Results, w io.Writer) error {
 	fracs := attack.CurveFractions()
 	cfg, layers, sds := noiseRuns()
 	for _, layer := range layers {
 		curves := make([][]attack.TradeoffPoint, len(sds))
 		for i, sd := range sds {
-			res, err := s.RunNoisy(cfg, layer, sd)
-			if err != nil {
-				return err
-			}
-			curves[i] = attack.Curve(res.Evals, fracs)
+			curves[i] = attack.Curve(r.Result(cfg, layer, sd).Evals, fracs)
 		}
 		fmt.Fprintf(w, "Fig. 10 - split layer %d (Imp-11): accuracy vs LoC fraction\n", layer)
 		tw := newTab(w)

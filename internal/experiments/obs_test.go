@@ -17,10 +17,10 @@ func TestSuiteMetrics(t *testing.T) {
 	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
 	s.Obs = o
 
-	if _, err := s.Run(attack.Imp9(), 8); err != nil {
+	if _, err := s.RunNoisy(attack.Imp9(), 8, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(attack.Imp9(), 8); err != nil {
+	if _, err := s.RunNoisy(attack.Imp9(), 8, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -58,10 +58,10 @@ func TestSuiteInstanceCacheHits(t *testing.T) {
 	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
 	s.Obs = o
 
-	if _, err := s.Run(attack.Imp9(), 8); err != nil {
+	if _, err := s.RunNoisy(attack.Imp9(), 8, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(attack.ML9(), 8); err != nil {
+	if _, err := s.RunNoisy(attack.ML9(), 8, 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,68 +1,24 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/attack"
 	"repro/internal/sweep"
 )
 
-// RunSpec names one leave-one-out attack run an experiment depends on: a
-// configuration at a (split layer, noise) coordinate. Specs are the bridge
-// between the experiment registry and the sweep work-unit layer: each spec
-// expands into one unit per suite design (fold).
+// RunSpec declares one leave-one-out attack run an experiment reads: a
+// configuration at a (split layer, noise) coordinate, plus its
+// validation-based proximity attack when PA is set. Each spec is one
+// sweep.Run: one work unit per suite design (fold).
 type RunSpec struct {
 	Config attack.Config
 	Layer  int
 	Noise  float64
+	PA     bool
 }
-
-// Deps enumerations per experiment. Each expands the same run declaration
-// its renderer reads (tableIIRuns, tableIVConfigs, noiseRuns, ...), so a
-// sharded plan pre-computes precisely the folds the merge run will load.
-
-func depsTableI() []RunSpec {
-	return crossLayers(attack.StandardConfigs(), tableLayers)
-}
-
-func depsTableII() []RunSpec { return crossLayers(tableIIRuns()) }
-
-func depsTableIII() []RunSpec { return crossLayers(tableIIIRuns()) }
-
-func depsTableIV() []RunSpec {
-	var out []RunSpec
-	for _, layer := range tableLayers {
-		out = append(out, crossLayers(tableIVConfigs(layer), []int{layer})...)
-	}
-	return out
-}
-
-// depsNoise covers Table VI and Fig. 10.
-func depsNoise() []RunSpec {
-	cfg, layers, sds := noiseRuns()
-	var out []RunSpec
-	for _, layer := range layers {
-		for _, sd := range sds {
-			out = append(out, RunSpec{Config: cfg, Layer: layer, Noise: sd})
-		}
-	}
-	return out
-}
-
-// depsExtClassifiers: every classifier is a registered learner family, so
-// all three are content-addressable and checkpoint as plan units.
-func depsExtClassifiers() []RunSpec { return crossLayers(extClassifiersRuns()) }
-
-func depsExtDL() []RunSpec { return crossLayers(extDLRuns()) }
-
-// depsExtDefense: only the undefended baseline runs against the suite's own
-// challenges; the defense variants mutate layouts out-of-suite and cannot
-// be checkpointed as units.
-func depsExtDefense() []RunSpec { return crossLayers(extDefenseRuns()) }
-
-func depsExtRecovery() []RunSpec { return crossLayers(extRecoveryRuns()) }
 
 // crossLayers expands configs × layers into clean (noise-0) run specs.
 func crossLayers(configs []attack.Config, layers []int) []RunSpec {
@@ -75,119 +31,149 @@ func crossLayers(configs []attack.Config, layers []int) []RunSpec {
 	return out
 }
 
-// PlanUnit is one entry of an executable plan: the sweep work unit plus the
-// prepared configuration that computes it.
-type PlanUnit struct {
-	Unit   sweep.Unit
-	Config attack.Config
+// withPA asks for the proximity attack of every spec.
+func withPA(specs []RunSpec) []RunSpec {
+	for i := range specs {
+		specs[i].PA = true
+	}
+	return specs
 }
 
-// PlanRuns expands run specs into the suite's work units: one unit per
-// (spec × fold), deduplicated across specs (experiments share runs — Tables
-// IV and V and Fig. 9 all consume the same sweeps). Every configuration is
-// content-addressable — learner families serialize their identity into
-// OptionsHash — so every spec plans. Enumeration is deterministic: same
-// suite, same specs, same plan.
-func (s *Suite) PlanRuns(runs []RunSpec) []PlanUnit {
-	var units []PlanUnit
-	seen := map[string]bool{}
-	for _, r := range runs {
-		pcfg := s.prepare(r.Config)
-		key := runKey(pcfg, r.Layer, r.Noise)
-		if seen[key] {
-			continue
+// Results answers the runs an experiment declares, and only those. Reading
+// an undeclared run is a bug in the declaration: it panics, naming the
+// experiment and the run.
+type Results struct {
+	exp  string
+	runs map[string]*attack.Result
+	pa   map[string][]attack.PAOutcome
+	// read records every key a renderer read, so a test can check that
+	// each declared run is read.
+	read map[string]bool
+}
+
+// results computes the experiment's declared runs (and proximity attacks)
+// on the suite's pool, Workers runs at a time.
+func (s *Suite) results(e Experiment) (Results, error) {
+	runs := make([]*attack.Result, len(e.Runs))
+	pas := make([][]attack.PAOutcome, len(e.Runs))
+	err := s.sweep("runs."+e.ID, len(e.Runs), func(i int) error {
+		r := e.Runs[i]
+		var err error
+		runs[i], err = s.RunNoisy(r.Config, r.Layer, r.Noise)
+		if err == nil && r.PA {
+			pas[i], err = s.runPA(r.Config, r.Layer, r.Noise)
 		}
-		seen[key] = true
-		for fold := range s.Designs {
-			units = append(units, PlanUnit{Unit: s.unit(pcfg, r.Layer, r.Noise, fold), Config: pcfg})
+		return err
+	})
+	res := Results{exp: e.ID, runs: map[string]*attack.Result{}, pa: map[string][]attack.PAOutcome{}, read: map[string]bool{}}
+	for i, r := range e.Runs {
+		key := runKey(r.Config, r.Layer, r.Noise)
+		res.runs[key] = runs[i]
+		if r.PA {
+			res.pa[key] = pas[i]
 		}
 	}
-	return units
+	return res, err
 }
 
-// Plan enumerates the work units of a set of experiments by concatenating
-// their Deps and expanding with PlanRuns. Experiments without Deps (pure
-// feature figures, out-of-suite defense variants) contribute nothing: their
-// rendering work always happens in the merge process.
-func (s *Suite) Plan(exps []Experiment) []PlanUnit {
-	var runs []RunSpec
+// Result returns the declared run of cfg at (layer, sd).
+func (r Results) Result(cfg attack.Config, layer int, sd float64) *attack.Result {
+	key := runKey(cfg, layer, sd)
+	res, ok := r.runs[key]
+	if !ok {
+		panic(fmt.Sprintf("experiments: %s reads run %s at layer %d, noise %g, which it does not declare",
+			r.exp, cfg.Name, layer, sd))
+	}
+	r.read[key] = true
+	return res
+}
+
+// All returns the declared clean runs of configs at layer, position-matched.
+func (r Results) All(configs []attack.Config, layer int) []*attack.Result {
+	out := make([]*attack.Result, len(configs))
+	for i, cfg := range configs {
+		out[i] = r.Result(cfg, layer, 0)
+	}
+	return out
+}
+
+// PA returns the proximity attack of the declared run of cfg at (layer, sd).
+func (r Results) PA(cfg attack.Config, layer int, sd float64) []attack.PAOutcome {
+	key := runKey(cfg, layer, sd)
+	out, ok := r.pa[key]
+	if !ok {
+		panic(fmt.Sprintf("experiments: %s reads the proximity attack of %s at layer %d, noise %g, which it does not declare",
+			r.exp, cfg.Name, layer, sd))
+	}
+	r.read["pa "+key] = true
+	return out
+}
+
+// Plan returns the runs a set of experiments declares, each once (Tables IV
+// and V and Fig. 9 share their runs): the work a sharded sweep splits
+// across processes before a merge run renders from the same declarations.
+// Enumeration is deterministic: same experiments, same plan.
+func Plan(exps []Experiment) []RunSpec {
+	var out []RunSpec
+	at := map[string]int{}
 	for _, e := range exps {
-		if e.Deps != nil {
-			runs = append(runs, e.Deps()...)
+		for _, r := range e.Runs {
+			key := runKey(r.Config, r.Layer, r.Noise)
+			if i, ok := at[key]; ok {
+				out[i].PA = out[i].PA || r.PA
+				continue
+			}
+			at[key] = len(out)
+			out = append(out, r)
 		}
 	}
-	return s.PlanRuns(runs)
+	return out
 }
 
 // PlanStats summarises a RunPlan execution.
 type PlanStats struct {
 	// Planned is the total unit count of the plan, across all shards.
 	Planned int
-	// Owned is how many units this suite's shard was responsible for.
-	Owned int
-	// Computed units ran the attack engine (includes Recomputed).
-	Computed int
-	// Loaded units were served from valid checkpoint files.
-	Loaded int
-	// Recomputed units had a corrupt checkpoint file discarded first.
-	Recomputed int
+	sweep.Stats
 }
 
 // String renders the stats for command output.
 func (st PlanStats) String() string {
 	return fmt.Sprintf("planned=%d owned=%d computed=%d loaded=%d recomputed=%d",
-		st.Planned, st.Owned, st.Computed, st.Loaded, st.Recomputed)
+		st.Planned, st.Owned, st.Done, st.Skipped, st.Recomputed)
 }
 
-// RunPlan executes the units of the plan that the suite's Shard owns,
-// checkpointing every completed fold. It is the shard worker's entry point:
-// enumerate (Plan), filter by ownership, compute-or-skip each unit, and exit
-// — rendering happens later, in a merge run that loads the union of all
-// shards' partials. Requires a Checkpoint (a sharded run without one would
-// compute results and throw them away).
-func (s *Suite) RunPlan(units []PlanUnit) (PlanStats, error) {
-	st := PlanStats{Planned: len(units)}
+// RunPlan runs the units of a plan that the shard owns (the zero shard owns
+// all), checkpointing every completed fold: each spec is one sweep.Run, and
+// the specs share the suite's pool like an experiment's runs. It is the
+// shard worker's entry point; rendering happens later, in a merge run that
+// loads the union of all shards' partials. Proximity attacks are left to
+// that run. Requires a Checkpoint (a sharded run without one would compute
+// results and throw them away).
+func (s *Suite) RunPlan(runs []RunSpec, sh sweep.Shard) (PlanStats, error) {
+	st := PlanStats{Planned: len(runs) * len(s.Designs)}
 	if s.Checkpoint == nil {
 		return st, fmt.Errorf("experiments: RunPlan needs a checkpoint directory to write partial results to")
 	}
-	if err := s.Shard.Validate(); err != nil {
+	if err := sh.Validate(); err != nil {
 		return st, err
 	}
-	var owned []PlanUnit
-	for _, u := range units {
-		if s.Shard.Owns(u.Unit.Key()) {
-			owned = append(owned, u)
-		}
-	}
-	st.Owned = len(owned)
-
 	name := "shard"
-	if sh := s.Shard.String(); sh != "" {
-		name = "shard." + strings.ReplaceAll(sh, "/", "of")
+	if str := sh.String(); str != "" {
+		name = "shard." + strings.ReplaceAll(str, "/", "of")
 	}
-	var mu sync.Mutex
-	err := s.sweep(name, len(owned), func(i int) error {
-		u := owned[i]
-		insts, err := s.Instances(u.Unit.Layer, u.Unit.Noise)
+	stats := make([]sweep.Stats, len(runs))
+	err := s.sweep(name, len(runs), func(i int) error {
+		r := runs[i]
+		insts, err := s.Instances(r.Layer, r.Noise)
 		if err != nil {
 			return err
 		}
-		_, _, outcome, err := sweep.RunUnit(s.Obs, s.Checkpoint, u.Unit, u.Config, insts)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		switch outcome {
-		case sweep.Loaded:
-			st.Loaded++
-		case sweep.Recomputed:
-			st.Recomputed++
-			st.Computed++
-		default:
-			st.Computed++
-		}
-		mu.Unlock()
-		return nil
+		_, stats[i], err = sweep.Run(context.TODO(), s.Checkpoint, s.provenance(), sh, s.prepare(r.Config), r.Noise, insts)
+		return err
 	})
+	for _, x := range stats {
+		st.Add(x)
+	}
 	return st, err
 }

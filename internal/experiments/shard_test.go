@@ -30,17 +30,17 @@ func fig10Experiment(t *testing.T) Experiment {
 	return e
 }
 
-// renderFig10 runs Fig10 on the suite and returns the exact output bytes.
+// renderFig10 runs Fig. 10 on the suite and returns the exact output bytes.
 func renderFig10(t *testing.T, s *Suite) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Fig10(s, &buf); err != nil {
+	if err := fig10Experiment(t).Run(s, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// fig10Digests collects the evaluation digests of every run Fig10 consumed,
+// fig10Digests collects the evaluation digests of every run Fig. 10 consumed,
 // keyed by (layer, noise, fold).
 func fig10Digests(t *testing.T, s *Suite) map[string]string {
 	t.Helper()
@@ -80,15 +80,14 @@ func TestShardMergeDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Checkpoint = ck
-		s.Shard = sweep.Shard{Index: i, Count: 3}
-		stats, err := s.RunPlan(s.Plan([]Experiment{fig10}))
+		stats, err := s.RunPlan(Plan([]Experiment{fig10}), sweep.Shard{Index: i, Count: 3})
 		if err != nil {
 			t.Fatalf("shard %d/3: %v", i, err)
 		}
 		planned = stats.Planned
 		owned += stats.Owned
-		computed += stats.Computed
-		if stats.Loaded != 0 || stats.Recomputed != 0 {
+		computed += stats.Done
+		if stats.Skipped != 0 || stats.Recomputed != 0 {
 			t.Errorf("shard %d/3 on a fresh checkpoint: %s (want no loads)", i, stats)
 		}
 	}
@@ -143,7 +142,7 @@ func TestShardKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	first.Checkpoint = ck
-	stats, err := first.RunPlan(first.Plan([]Experiment{fig10}))
+	stats, err := first.RunPlan(Plan([]Experiment{fig10}), sweep.Shard{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +172,14 @@ func TestShardKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed.Checkpoint = ck2
-	rstats, err := resumed.RunPlan(resumed.Plan([]Experiment{fig10}))
+	rstats, err := resumed.RunPlan(Plan([]Experiment{fig10}), sweep.Shard{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rstats.Planned != stats.Planned || rstats.Owned != stats.Planned {
 		t.Fatalf("resume plan %s does not cover the %d original units", rstats, stats.Planned)
 	}
-	if rstats.Computed != 2 || rstats.Recomputed != 1 || rstats.Loaded != stats.Planned-2 {
+	if rstats.Done != 2 || rstats.Recomputed != 1 || rstats.Skipped != stats.Planned-2 {
 		t.Errorf("resume stats %s; want computed=2 recomputed=1 loaded=%d", rstats, stats.Planned-2)
 	}
 
@@ -212,7 +211,7 @@ func TestSharedModelStoreDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Checkpoint = ck
-		if _, err := s.RunPlan(s.PlanRuns(plan)); err != nil {
+		if _, err := s.RunPlan(plan, sweep.Shard{}); err != nil {
 			t.Fatal(err)
 		}
 		return o
@@ -253,14 +252,14 @@ func TestMLPFoldsCheckpointAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	first.Checkpoint = ck
-	stats, err := first.RunPlan(first.PlanRuns(plan))
+	stats, err := first.RunPlan(plan, sweep.Shard{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Planned == 0 || stats.Computed != stats.Planned {
+	if stats.Planned == 0 || stats.Done != stats.Planned {
 		t.Fatalf("first run %s; want every planned unit computed", stats)
 	}
-	res, err := first.Run(cfg, 8)
+	res, err := first.RunNoisy(cfg, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,17 +275,17 @@ func TestMLPFoldsCheckpointAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed.Checkpoint = ck2
-	rstats, err := resumed.RunPlan(resumed.PlanRuns(plan))
+	rstats, err := resumed.RunPlan(plan, sweep.Shard{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rstats.Loaded != stats.Planned || rstats.Computed != 0 {
+	if rstats.Skipped != stats.Planned || rstats.Done != 0 {
 		t.Errorf("resume stats %s; want all %d units loaded, none computed", rstats, stats.Planned)
 	}
 	if done := resumed.Obs.Metrics().Counter("sweep.units.done").Value(); done != 0 {
 		t.Errorf("resume retrained %d MLP folds; want 0", done)
 	}
-	rres, err := resumed.Run(cfg, 8)
+	rres, err := resumed.RunNoisy(cfg, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

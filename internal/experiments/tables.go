@@ -34,11 +34,11 @@ func fmtFrac(v float64) string {
 
 func fmtPct(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
 
-// TableI reproduces Table I: for each split layer and design, the
+// tableI reproduces Table I: for each split layer and design, the
 // prior-work [5] baseline (mean LoC and accuracy) and, for each of the four
 // configurations, the LoC needed to match the baseline's accuracy and the
 // accuracy achieved at the baseline's LoC.
-func TableI(s *Suite, w io.Writer) error {
+func tableI(s *Suite, r Results, w io.Writer) error {
 	configs := attack.StandardConfigs()
 	for _, layer := range tableLayers {
 		chs, err := s.Challenges(layer)
@@ -49,10 +49,7 @@ func TableI(s *Suite, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		results, err := s.RunAll(configs, layer)
-		if err != nil {
-			return err
-		}
+		results := r.All(configs, layer)
 
 		fmt.Fprintf(w, "Table I - split layer %d\n", layer)
 		tw := newTab(w)
@@ -120,20 +117,13 @@ func tableIIRuns() ([]attack.Config, []int) {
 	return []attack.Config{rf, attack.Imp7()}, []int{8, 6}
 }
 
-// TableII reproduces Table II: Bagging with RandomTree (the predecessor
+// tableII reproduces Table II: Bagging with RandomTree (the predecessor
 // [18]) against Bagging with REPTree (this paper) under Imp-7, reporting
 // the threshold-0.5 operating point and runtime for split layers 8 and 6.
-func TableII(s *Suite, w io.Writer) error {
+func tableII(_ *Suite, r Results, w io.Writer) error {
 	configs, layers := tableIIRuns()
 	for _, layer := range layers {
-		rfRes, err := s.Run(configs[0], layer)
-		if err != nil {
-			return err
-		}
-		repRes, err := s.Run(configs[1], layer)
-		if err != nil {
-			return err
-		}
+		rfRes, repRes := r.Result(configs[0], layer, 0), r.Result(configs[1], layer, 0)
 		fmt.Fprintf(w, "Table II - split layer %d (Imp-7)\n", layer)
 		tw := newTab(w)
 		fmt.Fprintln(tw, "design\tRandomTree|LoC|\tRandomTreeAcc\tREPTree|LoC|\tREPTreeAcc")
@@ -167,18 +157,11 @@ func tableIIIRuns() ([]attack.Config, []int) {
 	return []attack.Config{two, attack.Imp11()}, []int{8}
 }
 
-// TableIII reproduces Table III: two-level pruning against no pruning with
+// tableIII reproduces Table III: two-level pruning against no pruning with
 // Imp-11 at split layer 8, at the threshold-0.5 operating point.
-func TableIII(s *Suite, w io.Writer) error {
+func tableIII(_ *Suite, r Results, w io.Writer) error {
 	configs, layers := tableIIIRuns()
-	twoRes, err := s.Run(configs[0], layers[0])
-	if err != nil {
-		return err
-	}
-	plainRes, err := s.Run(configs[1], layers[0])
-	if err != nil {
-		return err
-	}
+	twoRes, plainRes := r.Result(configs[0], layers[0], 0), r.Result(configs[1], layers[0], 0)
 	fmt.Fprintln(w, "Table III - split layer 8 (Imp-11)")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "design\t2-level|LoC|\t2-levelAcc\tnoPrune|LoC|\tnoPruneAcc")
@@ -213,10 +196,20 @@ func tableIVConfigs(layer int) []attack.Config {
 	return configs
 }
 
-// TableIV reproduces Table IV: for every configuration and split layer, the
+// tableIVSpecs expands the runs Tables IV and V and Fig. 9 share: every
+// tableIVConfigs configuration at its layer.
+func tableIVSpecs() []RunSpec {
+	var out []RunSpec
+	for _, layer := range tableLayers {
+		out = append(out, crossLayers(tableIVConfigs(layer), []int{layer})...)
+	}
+	return out
+}
+
+// tableIV reproduces Table IV: for every configuration and split layer, the
 // LoC fraction needed for average accuracies {95, 90, 80, 50}%, the average
 // accuracy at LoC fractions {0.01, 0.1, 1, 10}%, and the mean runtime.
-func TableIV(s *Suite, w io.Writer) error {
+func tableIV(_ *Suite, r Results, w io.Writer) error {
 	accTargets := []float64{0.95, 0.90, 0.80, 0.50}
 	fracs := []float64{0.0001, 0.001, 0.01, 0.10}
 	for _, layer := range tableLayers {
@@ -230,13 +223,8 @@ func TableIV(s *Suite, w io.Writer) error {
 			fmt.Fprintf(tw, "acc@%.2f%%\t", f*100)
 		}
 		fmt.Fprintln(tw, "runtime")
-		configs := tableIVConfigs(layer)
-		results, err := s.RunAll(configs, layer)
-		if err != nil {
-			return err
-		}
-		for i, cfg := range configs {
-			res := results[i]
+		for _, cfg := range tableIVConfigs(layer) {
+			res := r.Result(cfg, layer, 0)
 			fmt.Fprintf(tw, "%s\t", cfg.Name)
 			for _, a := range accTargets {
 				fmt.Fprintf(tw, "%s\t", fmtFrac(attack.AggregateLoCFracForAccuracy(res.Evals, a, 0.14)))
@@ -252,11 +240,11 @@ func TableIV(s *Suite, w io.Writer) error {
 	return nil
 }
 
-// TableV reproduces Table V: proximity-attack success rates per design for
+// tableV reproduces Table V: proximity-attack success rates per design for
 // the naive nearest-neighbour baseline [9], the regression baseline [5],
 // and each configuration with both the fixed-threshold PA of [18] and the
 // validation-based PA of this paper.
-func TableV(s *Suite, w io.Writer) error {
+func tableV(s *Suite, r Results, w io.Writer) error {
 	for _, layer := range tableLayers {
 		chs, err := s.Challenges(layer)
 		if err != nil {
@@ -267,9 +255,9 @@ func TableV(s *Suite, w io.Writer) error {
 			return err
 		}
 		configs := tableIVConfigs(layer)
-		outcomes, err := s.RunPAAll(configs, layer, 0)
-		if err != nil {
-			return err
+		outcomes := make([][]attack.PAOutcome, len(configs))
+		for i, cfg := range configs {
+			outcomes[i] = r.PA(cfg, layer, 0)
 		}
 
 		fmt.Fprintf(w, "Table V - split layer %d\n", layer)
@@ -323,10 +311,22 @@ func noiseRuns() (cfg attack.Config, layers []int, sds []float64) {
 	return attack.Imp11(), []int{6, 4}, []float64{0, 0.01, 0.02}
 }
 
-// TableVI reproduces Table VI: validated proximity-attack success with
+// noiseSpecs expands noiseRuns into run specs.
+func noiseSpecs() []RunSpec {
+	cfg, layers, sds := noiseRuns()
+	var out []RunSpec
+	for _, layer := range layers {
+		for _, sd := range sds {
+			out = append(out, RunSpec{Config: cfg, Layer: layer, Noise: sd})
+		}
+	}
+	return out
+}
+
+// tableVI reproduces Table VI: validated proximity-attack success with
 // Gaussian y-noise obfuscation at SD = 0, 1 and 2 % of the die height, for
 // split layers 6 and 4 with Imp-11.
-func TableVI(s *Suite, w io.Writer) error {
+func tableVI(_ *Suite, r Results, w io.Writer) error {
 	cfg, layers, sds := noiseRuns()
 	for _, layer := range layers {
 		fmt.Fprintf(w, "Table VI - split layer %d (Imp-11)\n", layer)
@@ -335,11 +335,7 @@ func TableVI(s *Suite, w io.Writer) error {
 		rows := map[string][]float64{}
 		var names []string
 		for _, sd := range sds {
-			outs, err := s.RunPA(cfg, layer, sd)
-			if err != nil {
-				return err
-			}
-			for _, o := range outs {
+			for _, o := range r.PA(cfg, layer, sd) {
 				if _, ok := rows[o.Design]; !ok {
 					names = append(names, o.Design)
 				}

@@ -109,10 +109,12 @@ func (l *loader) coord(s string) (geom.Coord, error) {
 func (l *loader) atoi(s string) (int, error) { return strconv.Atoi(s) }
 
 // Load parses a .sml design written by Save. The cell library is resolved
-// against the default library by kind name.
+// against the default library by kind name. Slices grow as records arrive,
+// never from a declared count, so what Load allocates is bounded by its
+// input.
 func Load(r io.Reader) (*Design, error) {
 	l := &loader{sc: bufio.NewScanner(r)}
-	l.sc.Buffer(make([]byte, 1<<20), 1<<20)
+	l.sc.Buffer(nil, 1<<20)
 	lib := cell.DefaultLibrary()
 
 	f, err := l.next()
@@ -144,8 +146,8 @@ func Load(r io.Reader) (*Design, error) {
 	if err != nil || nCells < 0 {
 		return nil, l.errf("bad cell count")
 	}
-	nl := &netlist.Netlist{Lib: lib, Cells: make([]netlist.Cell, nCells)}
-	pl := &place.Placement{Die: die, Origins: make([]geom.Point, nCells)}
+	nl := &netlist.Netlist{Lib: lib}
+	pl := &place.Placement{Die: die}
 	for i := 0; i < nCells; i++ {
 		if f, err = l.next(); err != nil || len(f) != 5 || f[0] != "C" {
 			return nil, l.errf("bad cell record")
@@ -163,8 +165,8 @@ func Load(r io.Reader) (*Design, error) {
 		if err1 != nil || err2 != nil {
 			return nil, l.errf("bad cell origin")
 		}
-		nl.Cells[i] = netlist.Cell{ID: i, Name: fmt.Sprintf("u%d", i), Kind: k}
-		pl.Origins[i] = geom.Pt(x, y)
+		nl.Cells = append(nl.Cells, netlist.Cell{ID: i, Name: fmt.Sprintf("u%d", i), Kind: k})
+		pl.Origins = append(pl.Origins, geom.Pt(x, y))
 	}
 
 	// Nets.
@@ -175,7 +177,6 @@ func Load(r io.Reader) (*Design, error) {
 	if err != nil || nNets < 0 {
 		return nil, l.errf("bad net count")
 	}
-	nl.Nets = make([]netlist.Net, nNets)
 	for i := 0; i < nNets; i++ {
 		if f, err = l.next(); err != nil || len(f) < 5 || f[0] != "N" {
 			return nil, l.errf("bad net record")
@@ -199,7 +200,7 @@ func Load(r io.Reader) (*Design, error) {
 			}
 			net.Sinks = append(net.Sinks, netlist.PinRef{Cell: sc, Pin: sp})
 		}
-		nl.Nets[i] = net
+		nl.Nets = append(nl.Nets, net)
 	}
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("layout: loaded netlist invalid: %w", err)

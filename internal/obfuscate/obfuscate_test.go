@@ -1,6 +1,7 @@
 package obfuscate
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -65,6 +66,35 @@ func TestPerturbRoutesValid(t *testing.T) {
 	}
 	if moved < len(c0.VPins)/4 {
 		t.Errorf("only %d/%d v-pins moved under perturbation", moved, len(c0.VPins))
+	}
+}
+
+// TestRerouteDeterministic applies each re-routing transform twice with one
+// seed: the two designs must save to the same bytes. Re-routing draws every
+// net's jitter and detours from one shared stream, so the order nets are
+// visited in must not depend on map iteration.
+func TestRerouteDeterministic(t *testing.T) {
+	d := designs(t)[0]
+	transforms := map[string]func() (*layout.Design, Cost, error){
+		"perturb": func() (*layout.Design, Cost, error) { return PerturbRoutes(d, 6, 2.0, 7) },
+		"lift":    func() (*layout.Design, Cost, error) { return LiftNets(d, 5, 6, 2, 0.5, 7) },
+	}
+	for name, apply := range transforms {
+		var saved [2][]byte
+		for i := range saved {
+			nd, _, err := apply()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := layout.Save(&buf, nd); err != nil {
+				t.Fatal(err)
+			}
+			saved[i] = buf.Bytes()
+		}
+		if !bytes.Equal(saved[0], saved[1]) {
+			t.Errorf("%s: two runs with one seed saved different layouts", name)
+		}
 	}
 }
 

@@ -167,9 +167,12 @@ func (r *Route) Wirelength() geom.Coord {
 }
 
 // Validate checks geometric invariants of the route: segments axis-aligned
-// and normalised, layers in range, trunk layer consistent with the highest
-// segment, and vias within the via-layer range.
+// and normalised, layers in range, a trunk layer in 2..NumMetal consistent
+// with the highest segment, and vias within the via-layer range.
 func (r *Route) Validate() error {
+	if r.TrunkLayer < 2 || r.TrunkLayer > NumMetal {
+		return fmt.Errorf("route %d: trunk on invalid layer %d", r.Net, r.TrunkLayer)
+	}
 	maxSeen := 0
 	for i, s := range r.Segments {
 		if s.Layer < 1 || s.Layer > NumMetal {

@@ -105,7 +105,9 @@ func BuildRouting(nl *netlist.Netlist, pl *place.Placement, cfg Config, rng *ran
 // and cfg overrides the router personality (escape jitter, detours) for
 // the re-routed nets. Unselected nets keep their original routes. This is
 // the primitive behind the obfuscation transforms: lifting nets to higher
-// layers and perturbing routes are both re-routing operations.
+// layers and perturbing routes are both re-routing operations. Nets are
+// re-routed in ascending ID order, so each draws the same numbers from rng
+// on every call.
 func (r *Routing) Reroute(nl *netlist.Netlist, pl *place.Placement, assign map[int]int, cfg Config, rng *rand.Rand) (*Routing, error) {
 	out := &Routing{
 		Die:    r.Die,
@@ -114,7 +116,13 @@ func (r *Routing) Reroute(nl *netlist.Netlist, pl *place.Placement, assign map[i
 		Cfg:    r.Cfg,
 	}
 	meanDemand := float64(r.Demand.Total()) / float64(numTiles(r.Demand))
-	for netID, trunk := range assign {
+	ids := make([]int, 0, len(assign))
+	for netID := range assign {
+		ids = append(ids, netID)
+	}
+	sort.Ints(ids)
+	for _, netID := range ids {
+		trunk := assign[netID]
 		if netID < 0 || netID >= len(out.Routes) {
 			return nil, fmt.Errorf("route: reroute of unknown net %d", netID)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
+	"repro/internal/sweep"
 )
 
 // Result is the document served by GET /jobs/{id}/result: the normalized
@@ -103,19 +104,8 @@ type SweepResult struct {
 	Configs []SweepConfigResult `json:"configs,omitempty"`
 }
 
-// UnitStats counts a sharded sweep job's work units.
-type UnitStats struct {
-	// Owned is how many of the sweep's units this shard was responsible
-	// for under the content-addressed partition.
-	Owned int `json:"owned"`
-	// Done units ran the attack engine (includes Recomputed).
-	Done int `json:"done"`
-	// Skipped units were already checkpointed — a resumed job finding its
-	// earlier work, or another process sharing the directory.
-	Skipped int `json:"skipped"`
-	// Recomputed units had a corrupt checkpoint file discarded first.
-	Recomputed int `json:"recomputed"`
-}
+// UnitStats counts a sharded sweep job's work units (see sweep.Stats).
+type UnitStats = sweep.Stats
 
 // SweepConfigResult is one configuration's leave-one-out outcome: a
 // per-design summary plus the aggregate LoC/accuracy trade-off curve.

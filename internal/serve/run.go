@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/attack"
@@ -177,16 +176,17 @@ func (s *Server) runAttack(ctx context.Context, job *Job, spec JobSpec,
 	return res, nil
 }
 
-// runSweep runs the leave-one-out sweep of every configuration, checking
-// for cancellation between configurations. A full sweep (no shard/of)
-// computes — or, when the server has a checkpoint, loads — every fold and
-// returns per-configuration aggregates; a sharded sweep computes only the
-// work units its partition owns into the checkpoint and returns unit
-// statistics, leaving aggregation to a later full sweep job.
+// runSweep runs the leave-one-out sweep of every configuration through
+// sweep.Run, checking for cancellation before every fold. A full sweep (no
+// shard/of) computes — or, when the server has a checkpoint, loads — every
+// fold and returns per-configuration aggregates; a sharded sweep computes
+// only the work units its partition owns into the checkpoint and returns
+// unit statistics, leaving aggregation to a later full sweep job.
 func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec,
 	insts []*attack.Instance, prog *obs.Progress) (*SweepResult, error) {
 
 	res := &SweepResult{Layer: spec.Layer, Shard: spec.Shard, Of: spec.Of}
+	prov := sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed}
 	sh := sweep.Shard{Index: spec.Shard, Count: spec.Of}
 	sharded := spec.Of > 0
 	var stats UnitStats
@@ -200,10 +200,11 @@ func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec,
 		}
 		cfg = s.engineCfg(cfg, spec)
 		s.setStage(job, fmt.Sprintf("sweep %d/%d: %s", i+1, len(spec.Configs), cfg.Name))
-		r, err := s.sweepFolds(ctx, spec, cfg, sh, insts, &stats)
+		r, st, err := sweep.Run(ctx, s.ck, prov, sh, cfg, 0, insts)
 		if err != nil {
 			return nil, err
 		}
+		stats.Add(st)
 		if !sharded {
 			res.Configs = append(res.Configs, sweepConfigResult(cfg, r))
 		}
@@ -213,48 +214,6 @@ func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec,
 		res.Units = &stats
 	}
 	return res, nil
-}
-
-// sweepFolds runs one configuration's leave-one-out sweep through
-// attack.RunFolds, checking for cancellation before each fold. Every
-// fold the shard owns (the zero shard owns all) goes through the sweep
-// unit layer: served from the server's checkpoint when it has a valid
-// partial — the merge path recombining what sharded jobs or CLI shards
-// computed — else computed and saved; folds owned by other shards are
-// skipped. stats accumulates the owned units' outcomes. The Result is
-// bit-identical to attack.RunInstances at any pool size and any mix of
-// loaded and computed folds.
-func (s *Server) sweepFolds(ctx context.Context, spec JobSpec, cfg attack.Config, sh sweep.Shard,
-	insts []*attack.Instance, stats *UnitStats) (*attack.Result, error) {
-
-	prov := sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed}
-	var mu sync.Mutex
-	return attack.RunFolds(cfg, insts, func(fold, _ int, _ *obs.Span) (*attack.Evaluation, float64, error) {
-		u := sweep.NewUnit(prov, cfg, spec.Layer, 0, fold, insts[fold].Ch.Design.Name)
-		if !sh.Owns(u.Key()) {
-			return nil, 0, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		ev, radius, outcome, err := sweep.RunUnit(s.o, s.ck, u, cfg, insts)
-		if err != nil {
-			return nil, 0, err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		stats.Owned++
-		switch outcome {
-		case sweep.Loaded:
-			stats.Skipped++
-		case sweep.Recomputed:
-			stats.Recomputed++
-			stats.Done++
-		default:
-			stats.Done++
-		}
-		return ev, radius, nil
-	})
 }
 
 // sweepConfigResult aggregates one configuration's full leave-one-out

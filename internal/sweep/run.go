@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/attack"
 	"repro/internal/obs"
@@ -93,4 +95,71 @@ func RunUnit(o *obs.Context, ck *Checkpoint, u Unit, cfg attack.Config,
 	}
 	o.Metrics().Counter("sweep.units.done").Inc()
 	return ev, radius, outcome, nil
+}
+
+// Stats counts the work units of one or more Run calls. Its JSON form is a
+// sharded sweep job's "units" section.
+type Stats struct {
+	// Owned is how many units the shard was responsible for under the
+	// content-addressed partition.
+	Owned int `json:"owned"`
+	// Done units ran the attack engine (includes Recomputed).
+	Done int `json:"done"`
+	// Skipped units were already checkpointed: a resumed run finding its
+	// earlier work, or another process sharing the directory.
+	Skipped int `json:"skipped"`
+	// Recomputed units had a corrupt checkpoint file discarded first.
+	Recomputed int `json:"recomputed"`
+}
+
+// Add accumulates another run's counts.
+func (st *Stats) Add(o Stats) {
+	st.Owned += o.Owned
+	st.Done += o.Done
+	st.Skipped += o.Skipped
+	st.Recomputed += o.Recomputed
+}
+
+// Run is the checkpointed, sharded leave-one-out of cfg over insts (one
+// split layer, challenges at y-noise SD noise): attack.RunFolds, with every
+// fold the shard owns (the zero shard owns all) going through RunUnit as the
+// unit NewUnit mints from prov and insts[fold]. Folds owned by other shards
+// stay nil in the Result. ctx is checked before each owned fold. The
+// experiment suite, its shard planner and the job server's sweeps all run
+// here, so a fold becomes the same unit, owned by the same shard, on every
+// path. The Result is bit-identical to attack.RunInstances at any pool size
+// and any mix of loaded and computed folds.
+func Run(ctx context.Context, ck *Checkpoint, prov Provenance, sh Shard, cfg attack.Config,
+	noise float64, insts []*attack.Instance) (*attack.Result, Stats, error) {
+
+	var mu sync.Mutex
+	var st Stats
+	res, err := attack.RunFolds(cfg, insts, func(fold, _ int, _ *obs.Span) (*attack.Evaluation, float64, error) {
+		ch := insts[fold].Ch
+		u := NewUnit(prov, cfg, ch.SplitLayer, noise, fold, ch.Design.Name)
+		if !sh.Owns(u.Key()) {
+			return nil, 0, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
+		}
+		ev, radius, outcome, err := RunUnit(cfg.Obs, ck, u, cfg, insts)
+		if err != nil {
+			return nil, 0, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		st.Owned++
+		switch outcome {
+		case Loaded:
+			st.Skipped++
+		case Recomputed:
+			st.Recomputed++
+			st.Done++
+		default:
+			st.Done++
+		}
+		return ev, radius, nil
+	})
+	return res, st, err
 }

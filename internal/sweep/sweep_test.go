@@ -1,10 +1,13 @@
 package sweep
 
 import (
+	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -301,25 +304,125 @@ func TestCheckpointInconsistentEvalDiscarded(t *testing.T) {
 	}
 }
 
+var (
+	fixtureOnce  sync.Once
+	fixtureErr   error
+	fixtureInsts []*attack.Instance
+)
+
+// foldFixture returns the standard suite at scale 0.12, seed 3, prepared at
+// split layer 8, its provenance, and a two-tree ML-9 configuration.
+func foldFixture(t *testing.T) (Provenance, []*attack.Instance, attack.Config) {
+	t.Helper()
+	prov := Provenance{Scale: 0.12, Seed: 3}
+	fixtureOnce.Do(func() {
+		designs, err := layout.GenerateSuite(layout.SuiteConfig{Scale: prov.Scale, Seed: prov.Seed})
+		if err != nil {
+			fixtureErr = err
+			return
+		}
+		chs := make([]*split.Challenge, len(designs))
+		for i, d := range designs {
+			if chs[i], err = split.NewChallenge(d, 8); err != nil {
+				fixtureErr = err
+				return
+			}
+		}
+		fixtureInsts = attack.NewInstancesWorkers(chs, 0)
+	})
+	if fixtureErr != nil {
+		t.Fatal(fixtureErr)
+	}
+	cfg := attack.ML9()
+	cfg.NumTrees = 2
+	cfg.Seed = prov.Seed
+	return prov, fixtureInsts, cfg
+}
+
+// TestRunShardsPartitionFolds runs one configuration's leave-one-out as
+// three shards into a checkpoint: the folds each shard's Result holds
+// partition the unsharded Result's folds with equal digests, the shards'
+// Stats sum to one owned, computed unit per fold, and a zero-shard Run over
+// the checkpoint loads every fold.
+func TestRunShardsPartitionFolds(t *testing.T) {
+	prov, insts, cfg := foldFixture(t)
+	ctx := context.Background()
+	full, st, err := Run(ctx, nil, prov, Shard{}, cfg, 0, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Stats{Owned: len(insts), Done: len(insts)}); st != want {
+		t.Fatalf("unsharded stats %+v, want %+v", st, want)
+	}
+	ck, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum Stats
+	owners := make([]int, len(insts))
+	for i := 1; i <= 3; i++ {
+		part, st, err := Run(ctx, ck, prov, Shard{Index: i, Count: 3}, cfg, 0, insts)
+		if err != nil {
+			t.Fatalf("shard %d/3: %v", i, err)
+		}
+		sum.Add(st)
+		held := 0
+		for fold, ev := range part.Evals {
+			if ev == nil {
+				continue
+			}
+			held++
+			owners[fold]++
+			if ev.Digest() != full.Evals[fold].Digest() {
+				t.Errorf("shard %d/3 fold %d: digest differs from the unsharded run", i, fold)
+			}
+		}
+		if held != st.Owned {
+			t.Errorf("shard %d/3 holds %d folds but owned %d", i, held, st.Owned)
+		}
+	}
+	for fold, n := range owners {
+		if n != 1 {
+			t.Errorf("fold %d held by %d shards, want exactly one", fold, n)
+		}
+	}
+	if want := (Stats{Owned: len(insts), Done: len(insts)}); sum != want {
+		t.Errorf("shard stats sum to %+v, want %+v", sum, want)
+	}
+	merged, st, err := Run(ctx, ck, prov, Shard{}, cfg, 0, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Stats{Owned: len(insts), Skipped: len(insts)}); st != want {
+		t.Errorf("merge stats %+v, want %+v", st, want)
+	}
+	for fold, ev := range merged.Evals {
+		if ev.Digest() != full.Evals[fold].Digest() {
+			t.Errorf("merged fold %d: digest differs from the unsharded run", fold)
+		}
+	}
+}
+
+// TestRunCancelled: a cancelled context fails every owned fold before any
+// engine work.
+func TestRunCancelled(t *testing.T) {
+	prov, insts, cfg := foldFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, st, err := Run(ctx, nil, prov, Shard{}, cfg, 0, insts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run under a cancelled context: %v, want context.Canceled", err)
+	}
+	if st != (Stats{}) {
+		t.Errorf("cancelled Run counted %+v", st)
+	}
+}
+
 // TestRunUnitRecomputesOtherVpinCount checkpoints a consistent evaluation
 // of the wrong size for a real fold: RunUnit must recompute it rather than
 // serve it, and overwrite the file with the fold's own result.
 func TestRunUnitRecomputesOtherVpinCount(t *testing.T) {
-	prov := Provenance{Scale: 0.12, Seed: 3}
-	designs, err := layout.GenerateSuite(layout.SuiteConfig{Scale: prov.Scale, Seed: prov.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chs := make([]*split.Challenge, len(designs))
-	for i, d := range designs {
-		if chs[i], err = split.NewChallenge(d, 8); err != nil {
-			t.Fatal(err)
-		}
-	}
-	insts := attack.NewInstancesWorkers(chs, 0)
-	cfg := attack.ML9()
-	cfg.NumTrees = 2
-	cfg.Seed = prov.Seed
+	prov, insts, cfg := foldFixture(t)
 	u := NewUnit(prov, cfg, 8, 0, 0, insts[0].Ch.Design.Name)
 	ck, err := Open(t.TempDir())
 	if err != nil {
