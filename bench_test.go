@@ -25,6 +25,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/pairs"
 	"repro/internal/split"
+	"repro/internal/sweep"
 )
 
 // benchScale keeps the full bench sweep in the minutes range.
@@ -41,17 +42,12 @@ var (
 func benchSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	benchOnce.Do(func() {
-		s, err := experiments.NewSuiteTier(nil, layout.TierStandard, benchScale, 1, 0)
-		if err != nil {
-			benchErr = err
-			return
-		}
-		benchDesigns = s.Designs
+		benchDesigns, benchErr = layout.GenerateSuite(layout.SuiteConfig{Scale: benchScale, Seed: 1})
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
-	return experiments.NewSuiteFromDesigns(benchDesigns, benchScale, 1)
+	return experiments.NewSuite(sweep.SuiteOf(sweep.Provenance{Scale: benchScale, Seed: 1}, benchDesigns))
 }
 
 func benchExperiment(b *testing.B, id string) {

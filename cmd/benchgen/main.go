@@ -30,11 +30,8 @@ func main() {
 	out := fs.String("o", "", "directory to write <design>.sml files to")
 	o := app.Parse(os.Args[1:])
 
-	designs, err := layout.GenerateSuiteObs(o, layout.SuiteConfig{
-		Tier: app.Tier, Scale: app.Scale, Seed: app.Seed, Workers: app.Workers()})
-	if err != nil {
-		cli.Fatal(err)
-	}
+	suite := app.Suite(o)
+	designs := suite.Designs
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			cli.Fatal(err)
@@ -54,28 +51,29 @@ func main() {
 		}
 	}
 
+	layers := []int{8, 6, 4}
+	cuts := map[int][]*split.Challenge{}
+	for _, layer := range layers {
+		chs, err := suite.Challenges(layer, 0)
+		if err != nil {
+			cli.Fatal(err)
+		}
+		cuts[layer] = chs
+	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 2, 2, ' ', 0)
 	fmt.Fprintln(tw, "design\tcells\tnets\tdie\tvpins@8\tvpins@6\tvpins@4\tmeanMatchDist@6")
 	designStats := []map[string]any{}
-	for _, d := range designs {
+	for di, d := range designs {
 		row := fmt.Sprintf("%s\t%d\t%d\t%dx%d", d.Name,
 			len(d.Netlist.Cells), len(d.Netlist.Nets), d.Die().Width(), d.Die().Height())
 		stats := map[string]any{
 			"name": d.Name, "cells": len(d.Netlist.Cells), "nets": len(d.Netlist.Nets),
 		}
-		var dist6 float64
-		for _, layer := range []int{8, 6, 4} {
-			ch, err := split.NewChallengeObs(o, d, layer)
-			if err != nil {
-				cli.Fatal(err)
-			}
-			row += fmt.Sprintf("\t%d", len(ch.VPins))
-			stats[fmt.Sprintf("vpins@%d", layer)] = len(ch.VPins)
-			if layer == 6 {
-				dist6 = ch.Summary().MeanMatchDist
-			}
+		for _, layer := range layers {
+			row += fmt.Sprintf("\t%d", len(cuts[layer][di].VPins))
+			stats[fmt.Sprintf("vpins@%d", layer)] = len(cuts[layer][di].VPins)
 		}
-		fmt.Fprintf(tw, "%s\t%.0f\n", row, dist6)
+		fmt.Fprintf(tw, "%s\t%.0f\n", row, cuts[6][di].Summary().MeanMatchDist)
 		designStats = append(designStats, stats)
 	}
 	tw.Flush()

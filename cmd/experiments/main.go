@@ -78,12 +78,7 @@ func main() {
 
 	fmt.Printf("Generating benchmark suite (scale %.2f, seed %d)...\n", app.Scale, app.Seed)
 	t0 := time.Now()
-	suite, err := experiments.NewSuiteTier(o, app.Tier, app.Scale, app.Seed, app.Workers())
-	if err != nil {
-		cli.Fatal(err)
-	}
-	suite.SetModelStore(app.ModelStore())
-	suite.Checkpoint = app.Checkpoint()
+	suite := experiments.NewSuite(app.Suite(o))
 	for _, d := range suite.Designs {
 		fmt.Printf("  %-5s cells=%d nets=%d\n", d.Name, len(d.Netlist.Cells), len(d.Netlist.Nets))
 	}

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -33,7 +34,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/split"
 	"repro/internal/sweep"
 )
 
@@ -59,6 +59,7 @@ func main() {
 type session struct {
 	app    *cli.App
 	o      *obs.Context
+	suite  *sweep.Suite
 	cfg    attack.Config
 	insts  []*attack.Instance
 	target int
@@ -120,36 +121,19 @@ func prepare(fsName string, args []string, addFlags func(*flag.FlagSet)) *sessio
 	if err := cfg.Validate(); err != nil {
 		cli.Usage("%v", err)
 	}
-	cfg.Seed = app.Seed
-	cfg.Workers = app.Workers()
-	cfg.Obs = o
-	// The artifact store makes repeated invocations warm when
-	// -model-cache-dir points at a persistent directory; a memory-only
-	// store is free for the single-target run.
-	cfg.Models = app.ModelStore()
 
-	designs, err := layout.GenerateSuiteObs(o, layout.SuiteConfig{
-		Tier: app.Tier, Scale: app.Scale, Seed: app.Seed, Workers: app.Workers()})
+	suite := app.Suite(o)
+	// Instances (extractors + spatial indexes) are prepared once and shared
+	// by the attack and proximity stages.
+	insts, _, err := suite.Instances(*layer, 0)
 	if err != nil {
 		cli.Fatal(err)
 	}
-	target := -1
-	chs := make([]*split.Challenge, len(designs))
-	for i, d := range designs {
-		if chs[i], err = split.NewChallengeObs(o, d, *layer); err != nil {
-			cli.Fatal(err)
-		}
-		if d.Name == *design {
-			target = i
-		}
-	}
+	target := slices.IndexFunc(suite.Designs, func(d *layout.Design) bool { return d.Name == *design })
 	if target < 0 {
 		cli.Usage("unknown design %q", *design)
 	}
-	// Instances (extractors + spatial indexes) are prepared once and shared
-	// by the attack and proximity stages.
-	insts := attack.NewInstancesWorkers(chs, app.Workers())
-	return &session{app: app, o: o, cfg: cfg, insts: insts, target: target,
+	return &session{app: app, o: o, suite: suite, cfg: suite.Config(cfg), insts: insts, target: target,
 		layer: *layer, design: *design, base: *base}
 }
 
@@ -236,12 +220,11 @@ func runAttack(args []string) {
 			fmt.Printf("scoring with artifact %s (spec %.12s, trained by %s)\n",
 				*modelPath, art.Meta.SpecHash, art.Meta.Version)
 		}
-	} else if ck := s.app.Checkpoint(); ck != nil {
+	} else if ck := s.suite.Checkpoint; ck != nil {
 		// Checkpointed single-target run: the fold is saved as (or served
 		// from) the same work unit an `experiments -shard` worker or a sweep
 		// job would produce at these coordinates, so the commands compose.
-		u := sweep.NewUnit(sweep.Provenance{Tier: s.app.Tier, Scale: s.app.Scale, Seed: s.app.Seed},
-			cfg, s.layer, 0, s.target, s.design)
+		u := sweep.NewUnit(s.suite.Prov, cfg, s.layer, 0, s.target, s.design)
 		var outcome sweep.Outcome
 		ev, radiusNorm, outcome, err = sweep.RunUnit(o, ck, u, cfg, s.insts)
 		if err == nil {

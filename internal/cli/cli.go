@@ -1,5 +1,6 @@
 // Package cli holds the flag wiring shared by every command in cmd/: the
-// -scale/-seed pair that parameterizes the synthetic suite, the obs.CLI
+// -tier/-scale/-seed flags that pin the synthetic suite (App.Suite builds
+// it), the obs.CLI
 // observability bundle (-v, -workers, -report, -metrics, profiles,
 // -version), and the exit-path plumbing around them. Commands add their own
 // flags on the same FlagSet and call Parse once:
@@ -71,17 +72,22 @@ func New(name string, fs *flag.FlagSet) *App {
 	return a
 }
 
-// Checkpoint opens the sweep checkpoint implied by -checkpoint-dir, or nil
-// when the flag is unset. Open errors terminate the process.
-func (a *App) Checkpoint() *sweep.Checkpoint {
-	if a.CheckpointDir == "" {
-		return nil
-	}
-	ck, err := sweep.Open(a.CheckpointDir)
+// Suite generates the suite the -tier/-scale/-seed flags pin on -workers
+// goroutines and prepares it for runs: o, when non-nil, instruments it, and
+// the model store and checkpoint implied by the flags serve every run on it.
+// Errors terminate the process.
+func (a *App) Suite(o *obs.Context) *sweep.Suite {
+	s, err := sweep.NewSuite(o, sweep.Provenance{Tier: a.Tier, Scale: a.Scale, Seed: a.Seed}, a.Workers())
 	if err != nil {
 		Fatal(err)
 	}
-	return ck
+	s.Models = a.ModelStore()
+	if a.CheckpointDir != "" {
+		if s.Checkpoint, err = sweep.Open(a.CheckpointDir); err != nil {
+			Fatal(err)
+		}
+	}
+	return s
 }
 
 // ModelStore builds the trained-artifact store implied by the

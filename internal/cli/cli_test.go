@@ -4,6 +4,8 @@ import (
 	"flag"
 	"io"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // newTestApp builds an App on a ContinueOnError FlagSet so flag errors
@@ -46,6 +48,23 @@ func TestParseDefaults(t *testing.T) {
 	if app.Scale != 1.0 || app.Seed != 1 || app.Workers() != 0 {
 		t.Errorf("defaults scale=%v seed=%v workers=%v, want 1.0 1 0",
 			app.Scale, app.Seed, app.Workers())
+	}
+}
+
+// TestSuiteFromFlags: App.Suite generates the suite the flags pin and
+// carries their worker bound, model store and checkpoint.
+func TestSuiteFromFlags(t *testing.T) {
+	app, _ := newTestApp(t, "x")
+	dir := t.TempDir()
+	app.Parse([]string{"-tier", "industrial", "-scale", "0.02", "-seed", "4", "-workers", "2", "-checkpoint-dir", dir})
+	s := app.Suite(nil)
+	want := sweep.Provenance{Tier: "industrial", Scale: 0.02, Seed: 4}
+	if s.Prov != want || len(s.Designs) != 3 || s.Designs[0].Name != "sbx1" {
+		t.Errorf("suite %+v with %d designs, want %+v and the three sbx designs", s.Prov, len(s.Designs), want)
+	}
+	if s.Workers != 2 || s.Models == nil || s.Checkpoint == nil || s.Checkpoint.Dir() != dir {
+		t.Errorf("suite run context: workers %d, models %v, checkpoint %v; want 2, a store, %s",
+			s.Workers, s.Models, s.Checkpoint, dir)
 	}
 }
 

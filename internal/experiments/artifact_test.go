@@ -14,7 +14,7 @@ import (
 // only the level-2 stages train.
 func TestSuiteArtifactCacheHits(t *testing.T) {
 	o := obs.New(obs.Options{Command: "test"})
-	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
+	s := freshSuite(t)
 	s.Obs = o
 
 	if _, err := s.RunNoisy(attack.Imp11(), 8, 0); err != nil {

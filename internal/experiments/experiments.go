@@ -17,206 +17,41 @@ import (
 	"sync"
 
 	"repro/internal/attack"
-	"repro/internal/layout"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/priorwork"
-	"repro/internal/split"
 	"repro/internal/sweep"
 )
 
-// Suite is the generated benchmark suite plus caches of challenges and
-// attack results. A Suite is safe for concurrent use: caches are
-// mutex-guarded and attack results depend only on (Seed, config, layer),
-// never on which goroutine computed them.
+// Suite is a prepared sweep.Suite plus the experiments' caches of attack
+// runs, proximity attacks and nearest-neighbour baselines. A Suite is safe
+// for concurrent use: caches are mutex-guarded and attack results depend
+// only on (seed, config, layer, noise), never on which goroutine computed
+// them.
 type Suite struct {
-	Designs []*layout.Design
-	// Tier is the suite tier the designs came from ("" means standard).
-	Tier  string
-	Scale float64
-	Seed  int64
+	*sweep.Suite
 
-	// Workers bounds the goroutines of every attack run and config sweep
-	// started through this suite (propagated into attack.Config.Workers
-	// unless the config sets its own). Zero selects GOMAXPROCS. Results
-	// are bit-identical at any worker count.
-	Workers int
-
-	// Obs, when non-nil, receives cache hit/miss counters, spans, and logs
-	// from every suite operation and is propagated into attack runs.
-	Obs *obs.Context
-
-	// Checkpoint, when non-nil, persists every leave-one-out fold as a
-	// content-addressed unit file (see internal/sweep): folds already in the
-	// checkpoint are loaded instead of recomputed — bit-identically — which
-	// is both the resume path for killed runs and the merge path combining
-	// partials that other shards (or machines) computed. Every learner
-	// family checkpoints — MLP folds resume exactly like Bagging folds.
-	Checkpoint *sweep.Checkpoint
-
-	mu    sync.Mutex
-	chs   map[int][]*split.Challenge
-	insts map[string][]*attack.Instance
-	runs  map[string]*attack.Result
-	noisy map[string][]*split.Challenge
-	pa    map[string][]attack.PAOutcome
-	nn    map[int][]float64
-	// models caches trained artifacts per fold by spec content hash, so
-	// sweeps that retrain identical folds (threshold sweeps, two-level
-	// variants sharing a level-1 model) become cache hits; see
-	// model.Store. It rides alongside the instance cache and reports
-	// outcomes under the "model.artifacts" counters.
-	models *model.Store
+	mu   sync.Mutex
+	runs map[string]*attack.Result
+	pa   map[string][]attack.PAOutcome
+	nn   map[int][]float64
 }
 
-// NewSuiteTier generates a benchmark suite: tier "standard" for the five
-// sb* benchmark designs, "industrial" for the three 100k+-cell sbx* designs,
-// at the given scale and seed. The designs are generated concurrently on up
-// to workers goroutines (0 = GOMAXPROCS), and the bound is inherited by
-// every attack run and config sweep started through the suite. Generation is
-// per-design deterministic, so the suite is identical at any worker count.
-// o, when non-nil, instruments generation and every later suite operation;
-// every cache and attack path downstream is tier-agnostic.
-func NewSuiteTier(o *obs.Context, tier string, scale float64, seed int64, workers int) (*Suite, error) {
-	designs, err := layout.GenerateSuiteObs(o, layout.SuiteConfig{Tier: tier, Scale: scale, Seed: seed, Workers: workers})
-	if err != nil {
-		return nil, err
+// NewSuite wraps a prepared suite with empty caches. Every run started
+// through it inherits the sweep suite's seed, worker bound, obs context,
+// model store and checkpoint (see sweep.Suite.Config).
+func NewSuite(s *sweep.Suite) *Suite {
+	return &Suite{
+		Suite: s,
+		runs:  map[string]*attack.Result{},
+		pa:    map[string][]attack.PAOutcome{},
+		nn:    map[int][]float64{},
 	}
-	s := NewSuiteFromDesigns(designs, scale, seed)
-	s.Tier = tier
-	s.Workers = workers
-	s.Obs = o
-	return s, nil
-}
-
-// SetModelStore replaces the suite's trained-artifact store. Commands use
-// this to wire the -model-cache/-model-cache-dir flags in: with a shared
-// on-disk directory, concurrent shards (separate processes, even separate
-// machines) train each unique fold spec exactly once and load it everywhere
-// else. A nil store is ignored.
-func (s *Suite) SetModelStore(st *model.Store) {
-	if st == nil {
-		return
-	}
-	s.mu.Lock()
-	s.models = st
-	s.mu.Unlock()
 }
 
 // cacheLookup records a suite-cache outcome on the metrics registry.
 func (s *Suite) cacheLookup(hit bool) {
 	s.Obs.Metrics().Cache("suite.cache").Lookup(hit)
-}
-
-// NewSuiteFromDesigns wraps already-generated designs in a Suite with
-// fresh caches. The benchmark harness uses this to re-measure attack work
-// without re-generating layouts.
-func NewSuiteFromDesigns(designs []*layout.Design, scale float64, seed int64) *Suite {
-	return &Suite{
-		Designs: designs,
-		Scale:   scale,
-		Seed:    seed,
-		chs:     map[int][]*split.Challenge{},
-		insts:   map[string][]*attack.Instance{},
-		runs:    map[string]*attack.Result{},
-		noisy:   map[string][]*split.Challenge{},
-		pa:      map[string][]attack.PAOutcome{},
-		nn:      map[int][]float64{},
-		models:  model.NewStore(0, ""),
-	}
-}
-
-// Challenges returns (and caches) the challenges for a split layer.
-func (s *Suite) Challenges(layer int) ([]*split.Challenge, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if chs, ok := s.chs[layer]; ok {
-		s.cacheLookup(true)
-		return chs, nil
-	}
-	s.cacheLookup(false)
-	chs := make([]*split.Challenge, 0, len(s.Designs))
-	for _, d := range s.Designs {
-		c, err := split.NewChallengeObs(s.Obs, d, layer)
-		if err != nil {
-			return nil, err
-		}
-		chs = append(chs, c)
-	}
-	s.chs[layer] = chs
-	return chs, nil
-}
-
-// NoisyChallenges returns challenges with Gaussian y-noise of the given
-// standard deviation (fraction of die height) applied to all v-pins,
-// cached per (layer, sd).
-func (s *Suite) NoisyChallenges(layer int, sd float64) ([]*split.Challenge, error) {
-	base, err := s.Challenges(layer)
-	if err != nil {
-		return nil, err
-	}
-	if sd == 0 {
-		return base, nil
-	}
-	key := fmt.Sprintf("%d/%g", layer, sd)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if chs, ok := s.noisy[key]; ok {
-		s.cacheLookup(true)
-		return chs, nil
-	}
-	s.cacheLookup(false)
-	rng := rand.New(rand.NewSource(s.Seed*1000 + int64(layer)*17 + int64(sd*1e4)))
-	chs := make([]*split.Challenge, len(base))
-	for i, ch := range base {
-		chs[i] = ch.WithNoise(sd, rng)
-	}
-	s.noisy[key] = chs
-	return chs, nil
-}
-
-// Instances returns (and caches) the prepared attack instances — feature
-// extractors plus spatial pair indexes — for a split layer and noise level
-// (sd 0 selects the clean challenges). Instances are immutable, so one set
-// is shared by every attack run, sweep, and figure at the same (layer,
-// noise) coordinates; multi-config sweeps stop re-deriving per-v-pin
-// features. Lookups are counted under "suite.instances.hit"/".miss".
-func (s *Suite) Instances(layer int, sd float64) ([]*attack.Instance, error) {
-	key := fmt.Sprintf("%d/%g", layer, sd)
-	s.mu.Lock()
-	in, ok := s.insts[key]
-	s.mu.Unlock()
-	s.Obs.Metrics().Cache("suite.instances").Lookup(ok)
-	if ok {
-		return in, nil
-	}
-	chs, err := s.NoisyChallenges(layer, sd)
-	if err != nil {
-		return nil, err
-	}
-	in = attack.NewInstancesWorkers(chs, s.Workers)
-	s.mu.Lock()
-	s.insts[key] = in
-	s.mu.Unlock()
-	return in, nil
-}
-
-// prepare stamps a config with the suite's seed, worker bound, and
-// observability context before an attack run. A config's own Workers, when
-// set, wins over the suite's.
-func (s *Suite) prepare(cfg attack.Config) attack.Config {
-	cfg.Seed = s.Seed
-	if cfg.Workers == 0 {
-		cfg.Workers = s.Workers
-	}
-	if s.Obs != nil {
-		cfg.Obs = s.Obs
-	}
-	if cfg.Models == nil {
-		cfg.Models = s.models
-	}
-	return cfg
 }
 
 // runKey is the cache key of a run at a (layer, noise) coordinate: the
@@ -242,11 +77,7 @@ func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Resu
 		return r, nil
 	}
 
-	insts, err := s.Instances(layer, sd)
-	if err != nil {
-		return nil, err
-	}
-	r, _, err = sweep.Run(context.TODO(), s.Checkpoint, s.provenance(), sweep.Shard{}, s.prepare(cfg), sd, insts)
+	r, _, err := sweep.Run(context.TODO(), s.Suite, sweep.Shard{}, cfg, layer, sd)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s at layer %d: %w", cfg.Name, layer, err)
 	}
@@ -254,11 +85,6 @@ func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Resu
 	s.runs[key] = r
 	s.mu.Unlock()
 	return r, nil
-}
-
-// provenance pins the suite for the sweep units of its runs.
-func (s *Suite) provenance() sweep.Provenance {
-	return sweep.Provenance{Tier: s.Tier, Scale: s.Scale, Seed: s.Seed}
 }
 
 // runPA executes (and caches) the validation-based proximity attack of cfg
@@ -275,7 +101,7 @@ func (s *Suite) runPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutc
 		return out, nil
 	}
 
-	insts, err := s.Instances(layer, sd)
+	insts, _, err := s.Instances(layer, sd)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +109,7 @@ func (s *Suite) runPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutc
 	if err != nil {
 		return nil, err
 	}
-	out, err = attack.RunProximityOnInstances(s.prepare(cfg), insts, prior)
+	out, err = attack.RunProximityOnInstances(s.Config(cfg), insts, prior)
 	if err != nil {
 		return nil, err
 	}
@@ -317,12 +143,12 @@ func (s *Suite) nnPA(layer, d int) float64 {
 	}
 	s.mu.Unlock()
 	s.cacheLookup(false)
-	chs, err := s.Challenges(layer)
+	chs, err := s.Challenges(layer, 0)
 	if err != nil {
 		return 0
 	}
 	v := make([]float64, len(chs))
-	rng := rand.New(rand.NewSource(s.Seed + int64(layer)))
+	rng := rand.New(rand.NewSource(s.Prov.Seed + int64(layer)))
 	for i, ch := range chs {
 		v[i] = priorwork.NearestNeighborPA(ch, rng)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/layout"
+	"repro/internal/sweep"
 )
 
 // One tiny suite shared by all experiment tests; experiment runs are cached
@@ -23,7 +24,11 @@ var (
 func testSuite(t *testing.T) *Suite {
 	t.Helper()
 	suiteOnce.Do(func() {
-		suiteVal, suiteErr = NewSuiteTier(nil, layout.TierStandard, 0.12, 3, 0)
+		var s *sweep.Suite
+		s, suiteErr = sweep.NewSuite(nil, sweep.Provenance{Tier: layout.TierStandard, Scale: 0.12, Seed: 3}, 0)
+		if suiteErr == nil {
+			suiteVal = NewSuite(s)
+		}
 	})
 	if suiteErr != nil {
 		t.Fatal(suiteErr)
@@ -43,7 +48,7 @@ func TestNewSuite(t *testing.T) {
 // run but differs in options is a different run, not a cache hit, and the
 // shard planner keeps both.
 func TestSuiteRunCacheKeysOnOptions(t *testing.T) {
-	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
+	s := freshSuite(t)
 	base, err := s.RunNoisy(attack.Imp9(), 8, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +62,7 @@ func TestSuiteRunCacheKeysOnOptions(t *testing.T) {
 	if got == base {
 		t.Fatal("Imp-9 with 3 trees was served Imp-9's cached result")
 	}
-	want, err := NewSuiteFromDesigns(s.Designs, 0.12, 3).RunNoisy(small, 8, 0)
+	want, err := freshSuite(t).RunNoisy(small, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +79,11 @@ func TestSuiteRunCacheKeysOnOptions(t *testing.T) {
 
 func TestChallengesCached(t *testing.T) {
 	s := testSuite(t)
-	a, err := s.Challenges(8)
+	a, err := s.Challenges(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Challenges(8)
+	b, err := s.Challenges(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +109,11 @@ func TestRunCached(t *testing.T) {
 
 func TestNoisyChallenges(t *testing.T) {
 	s := testSuite(t)
-	clean, err := s.Challenges(6)
+	clean, err := s.Challenges(6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := s.NoisyChallenges(6, 0.01)
+	noisy, err := s.Challenges(6, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +129,7 @@ func TestNoisyChallenges(t *testing.T) {
 	if moved == 0 {
 		t.Error("noise did not move any v-pin")
 	}
-	same, err := s.NoisyChallenges(6, 0)
+	same, err := s.Challenges(6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +173,7 @@ func TestAllExperimentsComplete(t *testing.T) {
 // where it declares one.
 func TestExperimentsReadExactlyTheirRuns(t *testing.T) {
 	s := testSuite(t)
-	view := NewSuiteFromDesigns(s.Designs, s.Scale, s.Seed)
+	view := freshSuite(t)
 	for _, e := range AllWithExtensions() {
 		r, err := s.results(e)
 		if err != nil {
@@ -345,11 +350,16 @@ func TestFig10Output(t *testing.T) {
 	}
 }
 
+// TestNewSuiteFromDesignsSharesLayouts: a suite prepared from already
+// generated designs shares them and starts with no run and no cut.
 func TestNewSuiteFromDesignsSharesLayouts(t *testing.T) {
 	s := testSuite(t)
-	fresh := NewSuiteFromDesigns(s.Designs, s.Scale, s.Seed)
+	fresh := freshSuite(t)
 	if len(fresh.runs) != 0 {
 		t.Error("fresh suite must have empty caches")
+	}
+	if _, hit, err := fresh.Instances(8, 0); err != nil || hit {
+		t.Errorf("fresh suite's first Instances(8, 0): hit %t, err %v; want a build", hit, err)
 	}
 	if &fresh.Designs[0] == nil || fresh.Designs[0] != s.Designs[0] {
 		t.Error("fresh suite must share design pointers")

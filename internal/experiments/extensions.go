@@ -87,7 +87,7 @@ func extRecovery(s *Suite, r Results, w io.Writer) error {
 	const vectors = 16
 	configs, layers := extRecoveryRuns()
 	cfg, layer := configs[0], layers[0]
-	chs, err := s.Challenges(layer)
+	chs, err := s.Challenges(layer, 0)
 	if err != nil {
 		return err
 	}
@@ -98,7 +98,7 @@ func extRecovery(s *Suite, r Results, w io.Writer) error {
 	fmt.Fprintln(tw, "design\tstructural (PA)\tfunctional\tchance-adjusted\tobservation pins")
 	var sSum, fSum float64
 	for d, ch := range chs {
-		rng := rand.New(rand.NewSource(s.Seed + int64(d)*13))
+		rng := rand.New(rand.NewSource(s.Prov.Seed + int64(d)*13))
 		answers := res.Evals[d].PAAnswers(pa[d].BestFrac, rng)
 		pairing := map[int]int{}
 		for i := range ch.VPins {
@@ -106,7 +106,7 @@ func extRecovery(s *Suite, r Results, w io.Writer) error {
 				pairing[i] = int(answers[i])
 			}
 		}
-		rep, err := sim.EvaluateRecovery(ch, pairing, vectors, s.Seed+int64(d))
+		rep, err := sim.EvaluateRecovery(ch, pairing, vectors, s.Prov.Seed+int64(d))
 		if err != nil {
 			return err
 		}
@@ -250,7 +250,7 @@ func extDefense(s *Suite, r Results, w io.Writer) error {
 				return err
 			}
 		}
-		cfg := s.prepare(baseCfg)
+		cfg := s.Config(baseCfg)
 		cfg.Name = fmt.Sprintf("%s-def%d", baseCfg.Name, vi)
 		res, err := attack.RunInstances(cfg, attack.NewInstancesWorkers(chs, cfg.Workers))
 		if err != nil {

@@ -31,7 +31,7 @@ func normMatchDists(ch *split.Challenge) []float64 {
 // matched-pair ManhattanVpin over the *other* four designs at split layer 6
 // — the distribution the Imp neighborhood radius is read from.
 func fig4(s *Suite, _ Results, w io.Writer) error {
-	chs, err := s.Challenges(6)
+	chs, err := s.Challenges(6, 0)
 	if err != nil {
 		return err
 	}
@@ -67,7 +67,7 @@ func fig4(s *Suite, _ Results, w io.Writer) error {
 // design (neighborhood radius taken from the other designs, as in the
 // leave-one-out discipline).
 func figTrainingSamples(s *Suite, layer, design int) (*ml.Dataset, error) {
-	insts, err := s.Instances(layer, 0)
+	insts, _, err := s.Instances(layer, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -78,9 +78,9 @@ func figTrainingSamples(s *Suite, layer, design int) (*ml.Dataset, error) {
 		}
 	}
 	cfg := attack.Imp11()
-	cfg.Seed = s.Seed
+	cfg.Seed = s.Prov.Seed
 	radius := attack.NeighborRadiusNorm(trainInsts, 0.90)
-	rng := rand.New(rand.NewSource(s.Seed + int64(layer*100+design)))
+	rng := rand.New(rand.NewSource(s.Prov.Seed + int64(layer*100+design)))
 	ds := attack.TrainingSet(cfg, []*attack.Instance{insts[design]}, radius, nil, rng)
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -107,7 +107,7 @@ func fig7(s *Suite, _ Results, w io.Writer) error {
 		{"Fisher", ml.FisherRatio},
 	}
 	for _, layer := range []int{4, 6, 8} {
-		chs, err := s.Challenges(layer)
+		chs, err := s.Challenges(layer, 0)
 		if err != nil {
 			return err
 		}
@@ -145,7 +145,7 @@ func fig7(s *Suite, _ Results, w io.Writer) error {
 // the pooled layer-6 training samples, as 10-bin histograms plus summary
 // statistics.
 func fig8(s *Suite, _ Results, w io.Writer) error {
-	chs, err := s.Challenges(6)
+	chs, err := s.Challenges(6, 0)
 	if err != nil {
 		return err
 	}
@@ -234,7 +234,7 @@ func fig9(s *Suite, r Results, w io.Writer) error {
 	fracs := attack.CurveFractions()
 	slacks := []float64{0.1, 0.25, 0.5, 1, 2, 4, 8}
 	for _, layer := range []int{8, 6, 4} {
-		chs, err := s.Challenges(layer)
+		chs, err := s.Challenges(layer, 0)
 		if err != nil {
 			return err
 		}
@@ -243,7 +243,7 @@ func fig9(s *Suite, r Results, w io.Writer) error {
 		for i, cfg := range configs {
 			curves[i] = attack.Curve(r.Result(cfg, layer, 0).Evals, fracs)
 		}
-		priorCurve, err := priorwork.Curve(chs, slacks, s.Seed)
+		priorCurve, err := priorwork.Curve(chs, slacks, s.Prov.Seed)
 		if err != nil {
 			return err
 		}

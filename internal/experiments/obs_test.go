@@ -14,7 +14,7 @@ import (
 // caches, so the hit/miss sequence is deterministic.
 func TestSuiteMetrics(t *testing.T) {
 	o := obs.New(obs.Options{Command: "test"})
-	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
+	s := freshSuite(t)
 	s.Obs = o
 
 	if _, err := s.RunNoisy(attack.Imp9(), 8, 0); err != nil {
@@ -55,7 +55,7 @@ func TestSuiteMetrics(t *testing.T) {
 // (layer, noise) instance cache must record at least one hit.
 func TestSuiteInstanceCacheHits(t *testing.T) {
 	o := obs.New(obs.Options{Command: "test"})
-	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
+	s := freshSuite(t)
 	s.Obs = o
 
 	if _, err := s.RunNoisy(attack.Imp9(), 8, 0); err != nil {
@@ -77,7 +77,7 @@ func TestSuiteInstanceCacheHits(t *testing.T) {
 // TestSuiteRunExperimentObs checks the per-experiment span and counter.
 func TestSuiteRunExperimentObs(t *testing.T) {
 	o := obs.New(obs.Options{Command: "test"})
-	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
+	s := freshSuite(t)
 	s.Obs = o
 
 	e, err := ByID("fig4")
@@ -106,11 +106,11 @@ func TestSuiteRunExperimentObs(t *testing.T) {
 // TestSuiteObsNilSafe pins the zero-overhead contract: a suite without a
 // context must run exactly as before.
 func TestSuiteObsNilSafe(t *testing.T) {
-	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
+	s := freshSuite(t)
 	if s.Obs != nil {
 		t.Fatal("fresh suite must not have a context")
 	}
-	if _, err := s.Challenges(8); err != nil {
+	if _, err := s.Challenges(8, 0); err != nil {
 		t.Fatal(err)
 	}
 	e, err := ByID("fig4")

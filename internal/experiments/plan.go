@@ -165,11 +165,8 @@ func (s *Suite) RunPlan(runs []RunSpec, sh sweep.Shard) (PlanStats, error) {
 	stats := make([]sweep.Stats, len(runs))
 	err := s.sweep(name, len(runs), func(i int) error {
 		r := runs[i]
-		insts, err := s.Instances(r.Layer, r.Noise)
-		if err != nil {
-			return err
-		}
-		_, stats[i], err = sweep.Run(context.TODO(), s.Checkpoint, s.provenance(), sh, s.prepare(r.Config), r.Noise, insts)
+		var err error
+		_, stats[i], err = sweep.Run(context.TODO(), s.Suite, sh, r.Config, r.Layer, r.Noise)
 		return err
 	})
 	for _, x := range stats {

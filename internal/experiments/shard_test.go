@@ -13,12 +13,12 @@ import (
 	"repro/internal/sweep"
 )
 
-// freshSuite wraps the shared test designs in a new Suite with empty caches,
-// so shard/merge tests measure real checkpoint traffic instead of the shared
-// suite's warm run cache.
+// freshSuite wraps the shared test designs in a new Suite with empty caches
+// and no cut built, so shard/merge tests measure real checkpoint traffic
+// instead of the shared suite's warm run cache.
 func freshSuite(t *testing.T) *Suite {
 	t.Helper()
-	return NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
+	return NewSuite(sweep.SuiteOf(sweep.Provenance{Scale: 0.12, Seed: 3}, testSuite(t).Designs))
 }
 
 func fig10Experiment(t *testing.T) Experiment {
@@ -205,7 +205,7 @@ func TestSharedModelStoreDedup(t *testing.T) {
 		s := freshSuite(t)
 		o := obs.New(obs.Options{Command: "test"})
 		s.Obs = o
-		s.SetModelStore(model.NewStore(0, modelDir))
+		s.Models = model.NewStore(0, modelDir)
 		ck, err := sweep.Open(ckDir)
 		if err != nil {
 			t.Fatal(err)

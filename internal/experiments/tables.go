@@ -41,11 +41,11 @@ func fmtPct(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
 func tableI(s *Suite, r Results, w io.Writer) error {
 	configs := attack.StandardConfigs()
 	for _, layer := range tableLayers {
-		chs, err := s.Challenges(layer)
+		chs, err := s.Challenges(layer, 0)
 		if err != nil {
 			return err
 		}
-		prior, err := priorwork.RunLeaveOneOut(chs, 1.0, s.Seed)
+		prior, err := priorwork.RunLeaveOneOut(chs, 1.0, s.Prov.Seed)
 		if err != nil {
 			return err
 		}
@@ -246,11 +246,11 @@ func tableIV(_ *Suite, r Results, w io.Writer) error {
 // validation-based PA of this paper.
 func tableV(s *Suite, r Results, w io.Writer) error {
 	for _, layer := range tableLayers {
-		chs, err := s.Challenges(layer)
+		chs, err := s.Challenges(layer, 0)
 		if err != nil {
 			return err
 		}
-		prior, err := priorwork.RunLeaveOneOut(chs, 1.0, s.Seed)
+		prior, err := priorwork.RunLeaveOneOut(chs, 1.0, s.Prov.Seed)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package obfuscate
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -94,6 +95,34 @@ func TestRerouteDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(saved[0], saved[1]) {
 			t.Errorf("%s: two runs with one seed saved different layouts", name)
+		}
+	}
+}
+
+// TestRerouteLoadedDesignFails: a saved and loaded design has no
+// congestion grid, so the re-routing transforms must refuse it with an error
+// naming the grid instead of dereferencing nil.
+func TestRerouteLoadedDesignFails(t *testing.T) {
+	var buf bytes.Buffer
+	if err := layout.Save(&buf, designs(t)[0]); err != nil {
+		t.Fatal(err)
+	}
+	ld, err := layout.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transforms := map[string]func() (*layout.Design, Cost, error){
+		"perturb": func() (*layout.Design, Cost, error) { return PerturbRoutes(ld, 6, 2.0, 1) },
+		"lift":    func() (*layout.Design, Cost, error) { return LiftNets(ld, 5, 6, 2, 0.5, 1) },
+	}
+	for name, apply := range transforms {
+		nd, _, err := apply()
+		if err == nil || nd != nil {
+			t.Errorf("%s of a loaded design: design %v, err %v; want an error", name, nd, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "congestion grid") {
+			t.Errorf("%s of a loaded design: %q does not name the congestion grid", name, err)
 		}
 	}
 }

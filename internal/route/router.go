@@ -1,6 +1,7 @@
 package route
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -107,8 +108,12 @@ func BuildRouting(nl *netlist.Netlist, pl *place.Placement, cfg Config, rng *ran
 // the primitive behind the obfuscation transforms: lifting nets to higher
 // layers and perturbing routes are both re-routing operations. Nets are
 // re-routed in ascending ID order, so each draws the same numbers from rng
-// on every call.
+// on every call. A routing without its congestion grid (one read back by
+// layout.Load) cannot be re-routed and yields an error.
 func (r *Routing) Reroute(nl *netlist.Netlist, pl *place.Placement, assign map[int]int, cfg Config, rng *rand.Rand) (*Routing, error) {
+	if r.Demand == nil {
+		return nil, errors.New("route: cannot re-route without the routing's congestion grid (Demand is nil, as in a loaded design)")
+	}
 	out := &Routing{
 		Die:    r.Die,
 		Routes: append([]Route(nil), r.Routes...),

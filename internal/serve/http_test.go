@@ -202,6 +202,15 @@ func TestHTTPErrors(t *testing.T) {
 			http.StatusBadRequest, "invalid_spec"},
 		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"DL-MLP","mlp_rate":-0.05}}`,
 			http.StatusBadRequest, "invalid_spec"},
+		// Sizes above the fixed ceilings are rejected before any work.
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","scale":1e6,"config":{"preset":"ML-9"}}`,
+			http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"Imp-11","num_trees":1001}}`,
+			http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"DL-MLP","mlp_hidden":1025}}`,
+			http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"DL-MLP","mlp_epochs":1001}}`,
+			http.StatusBadRequest, "invalid_spec"},
 		{"POST", "/jobs", `{"kind":"attack","design":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
 			http.StatusRequestEntityTooLarge, "invalid_spec"}, // body over the 1 MiB bound
 		{"GET", "/jobs/j-999999", "", http.StatusNotFound, "unknown_job"},

@@ -23,7 +23,12 @@ func execute(ctx context.Context, s *Server, job *Job) (*Result, error) {
 	defer prog.Finish()
 
 	s.setStage(job, "instances")
-	insts, err := s.instances(spec.Tier, spec.Scale, *spec.Seed, spec.Layer)
+	suite, err := s.suite(spec)
+	if err != nil {
+		return nil, err
+	}
+	insts, hit, err := suite.Instances(spec.Layer, 0)
+	s.o.Metrics().Cache("serve.instances").Lookup(hit)
 	if err != nil {
 		return nil, err
 	}
@@ -35,11 +40,11 @@ func execute(ctx context.Context, s *Server, job *Job) (*Result, error) {
 	res := &Result{ID: job.ID, Kind: spec.Kind, Spec: spec}
 	switch spec.Kind {
 	case KindTrain:
-		res.Train, err = s.runTrain(job, spec, insts, prog)
+		res.Train, err = s.runTrain(job, spec, suite, insts, prog)
 	case KindAttack, KindProximity:
-		res.Attack, err = s.runAttack(ctx, job, spec, insts, prog)
+		res.Attack, err = s.runAttack(ctx, job, spec, suite, insts, prog)
 	case KindSweep:
-		res.Sweep, err = s.runSweep(ctx, job, spec, insts, prog)
+		res.Sweep, err = s.runSweep(ctx, job, spec, suite, prog)
 	default:
 		err = fmt.Errorf("serve: unknown kind %q", spec.Kind)
 	}
@@ -62,17 +67,6 @@ func stages(spec JobSpec) int {
 	}
 }
 
-// engineCfg wires a resolved configuration to the server's shared
-// resources: the job's seed, the per-job engine worker bound, the obs
-// context, and the coalescing artifact store.
-func (s *Server) engineCfg(cfg attack.Config, spec JobSpec) attack.Config {
-	cfg.Seed = *spec.Seed
-	cfg.Workers = s.opts.Workers
-	cfg.Obs = s.o
-	cfg.Models = s.store
-	return cfg
-}
-
 // targetIndex resolves the held-out design's instance index.
 func targetIndex(insts []*attack.Instance, design string) (int, error) {
 	for i, inst := range insts {
@@ -85,14 +79,14 @@ func targetIndex(insts []*attack.Instance, design string) (int, error) {
 
 // runTrain trains (or fetches from the shared store) the leave-one-out
 // artifact for the held-out design and persists it under the state dir.
-func (s *Server) runTrain(job *Job, spec JobSpec, insts []*attack.Instance,
+func (s *Server) runTrain(job *Job, spec JobSpec, suite *sweep.Suite, insts []*attack.Instance,
 	prog *obs.Progress) (*TrainResult, error) {
 
 	cfg, err := spec.Config.resolve()
 	if err != nil {
 		return nil, err
 	}
-	cfg = s.engineCfg(cfg, spec)
+	cfg = suite.Config(cfg)
 	target, err := targetIndex(insts, spec.Design)
 	if err != nil {
 		return nil, err
@@ -136,14 +130,14 @@ func (s *Server) runTrain(job *Job, spec JobSpec, insts []*attack.Instance,
 
 // runAttack runs the single-target attack (plus the proximity stage for
 // proximity jobs).
-func (s *Server) runAttack(ctx context.Context, job *Job, spec JobSpec,
+func (s *Server) runAttack(ctx context.Context, job *Job, spec JobSpec, suite *sweep.Suite,
 	insts []*attack.Instance, prog *obs.Progress) (*AttackResult, error) {
 
 	cfg, err := spec.Config.resolve()
 	if err != nil {
 		return nil, err
 	}
-	cfg = s.engineCfg(cfg, spec)
+	cfg = suite.Config(cfg)
 	target, err := targetIndex(insts, spec.Design)
 	if err != nil {
 		return nil, err
@@ -182,11 +176,10 @@ func (s *Server) runAttack(ctx context.Context, job *Job, spec JobSpec,
 // fold and returns per-configuration aggregates; a sharded sweep computes
 // only the work units its partition owns into the checkpoint and returns
 // unit statistics, leaving aggregation to a later full sweep job.
-func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec,
-	insts []*attack.Instance, prog *obs.Progress) (*SweepResult, error) {
+func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec, suite *sweep.Suite,
+	prog *obs.Progress) (*SweepResult, error) {
 
 	res := &SweepResult{Layer: spec.Layer, Shard: spec.Shard, Of: spec.Of}
-	prov := sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed}
 	sh := sweep.Shard{Index: spec.Shard, Count: spec.Of}
 	sharded := spec.Of > 0
 	var stats UnitStats
@@ -198,9 +191,8 @@ func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec,
 		if err != nil {
 			return nil, err
 		}
-		cfg = s.engineCfg(cfg, spec)
 		s.setStage(job, fmt.Sprintf("sweep %d/%d: %s", i+1, len(spec.Configs), cfg.Name))
-		r, st, err := sweep.Run(ctx, s.ck, prov, sh, cfg, 0, insts)
+		r, st, err := sweep.Run(ctx, suite, sh, cfg, spec.Layer, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -18,8 +18,9 @@
 // abandoned mid-stage finishes on its own goroutine and its result is
 // discarded. All jobs share one warm model.Store, so concurrent
 // submissions of the same spec coalesce into exactly one training
-// (singleflight), and one prepared-instance cache per (scale, seed, layer),
-// so the synthetic suite is generated and indexed once per shape. Results
+// (singleflight), and one prepared sweep.Suite per provenance (tier, scale,
+// seed), so the synthetic suite is generated once and shared by jobs at
+// every layer, and each layer is cut and indexed once. Results
 // are bit-identical at any pool size, queue depth, or submission
 // interleaving: every job's randomness derives from its own spec's seed
 // alone.
@@ -47,12 +48,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/layout"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/split"
 	"repro/internal/sweep"
 )
 
@@ -106,7 +105,7 @@ type Options struct {
 var ErrQueueFull = errors.New("serve: job queue full")
 
 // Server is the job service: a bounded worker pool over a registry of
-// jobs, a shared artifact store, and a prepared-instance cache. Create
+// jobs, a shared artifact store, and the prepared suites. Create
 // with New, expose with Handler, stop with Close.
 type Server struct {
 	opts  Options
@@ -125,23 +124,11 @@ type Server struct {
 	order  []string
 	nextID int
 
-	instMu sync.Mutex
-	insts  map[instKey]*instEntry
-}
-
-// instKey identifies one prepared suite shape.
-type instKey struct {
-	tier  string
-	scale float64
-	seed  int64
-	layer int
-}
-
-// instEntry is one once-built instance list concurrent jobs share.
-type instEntry struct {
-	once  sync.Once
-	insts []*attack.Instance
-	err   error
+	// suites holds the one prepared suite of each provenance, generated
+	// once while concurrent jobs wait and then shared by jobs at every
+	// layer.
+	suitesMu sync.Mutex
+	suites   map[sweep.Provenance]func() (*sweep.Suite, error)
 }
 
 // New builds the server, reloads the state directory when one is
@@ -169,6 +156,9 @@ func New(opts Options) (*Server, error) {
 	if opts.DefaultScale <= 0 {
 		opts.DefaultScale = 1.0
 	}
+	if !(opts.DefaultScale <= maxScale) {
+		return nil, fmt.Errorf("serve: default scale %g above the ceiling %g", opts.DefaultScale, maxScale)
+	}
 	if opts.DefaultSeed == 0 {
 		opts.DefaultSeed = 1
 	}
@@ -179,11 +169,11 @@ func New(opts Options) (*Server, error) {
 		opts.CheckpointDir = filepath.Join(opts.StateDir, "checkpoints")
 	}
 	s := &Server{
-		opts:  opts,
-		o:     opts.Obs,
-		store: opts.Store,
-		jobs:  make(map[string]*Job),
-		insts: make(map[instKey]*instEntry),
+		opts:   opts,
+		o:      opts.Obs,
+		store:  opts.Store,
+		jobs:   make(map[string]*Job),
+		suites: make(map[sweep.Provenance]func() (*sweep.Suite, error)),
 	}
 	if opts.CheckpointDir != "" {
 		ck, err := sweep.Open(opts.CheckpointDir)
@@ -456,37 +446,25 @@ func (s *Server) queueDepth() {
 	s.o.Metrics().Gauge("serve.queue.depth").Set(float64(len(s.queue)))
 }
 
-// instances returns the prepared attack instances for one suite shape,
-// building them once and sharing them across jobs; lookups feed the
-// "serve.instances" cache counters. Instances are read-only after
-// construction and safe to share between concurrent runs.
-func (s *Server) instances(tier string, scale float64, seed int64, layer int) ([]*attack.Instance, error) {
-	key := instKey{tier: tier, scale: scale, seed: seed, layer: layer}
-	s.instMu.Lock()
-	e, ok := s.insts[key]
+// suite returns the prepared suite a job's spec pins, generating it on
+// first use. Its run context is the server's: the per-job engine worker
+// bound, the obs context, the shared model store and the checkpoint.
+func (s *Server) suite(spec JobSpec) (*sweep.Suite, error) {
+	prov := sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed}
+	s.suitesMu.Lock()
+	get, ok := s.suites[prov]
 	if !ok {
-		e = &instEntry{}
-		s.insts[key] = e
-	}
-	s.instMu.Unlock()
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		designs, err := layout.GenerateSuiteObs(s.o, layout.SuiteConfig{
-			Tier: tier, Scale: scale, Seed: seed, Workers: s.opts.Workers})
-		if err != nil {
-			e.err = err
-			return
-		}
-		chs := make([]*split.Challenge, len(designs))
-		for i, d := range designs {
-			if chs[i], err = split.NewChallengeObs(s.o, d, layer); err != nil {
-				e.err = err
-				return
+		get = sync.OnceValues(func() (*sweep.Suite, error) {
+			suite, err := sweep.NewSuite(s.o, prov, s.opts.Workers)
+			if err != nil {
+				return nil, err
 			}
-		}
-		e.insts = attack.NewInstancesWorkers(chs, s.opts.Workers)
-	})
-	s.o.Metrics().Cache("serve.instances").Lookup(hit)
-	return e.insts, e.err
+			suite.Models = s.store
+			suite.Checkpoint = s.ck
+			return suite, nil
+		})
+		s.suites[prov] = get
+	}
+	s.suitesMu.Unlock()
+	return get()
 }

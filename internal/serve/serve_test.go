@@ -240,6 +240,39 @@ func TestServeConcurrentSameSpecTrainsOnce(t *testing.T) {
 	}
 }
 
+// TestServeSuiteSharedAcrossLayers runs attack jobs at layers 8 and 6 of one
+// provenance: they share one generated suite, and each layer is cut and
+// indexed once, by its own job's lookup.
+func TestServeSuiteSharedAcrossLayers(t *testing.T) {
+	o := obs.New(obs.Options{Command: "serve-test"})
+	s := newTestServer(t, Options{Obs: o, Pool: 1})
+	for _, layer := range []int{8, 6} {
+		spec := attackSpec("sb1")
+		spec.Layer = layer
+		spec.Config = &ConfigSpec{Preset: "Imp-11", NumTrees: 2}
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, job, 10*time.Minute)
+		if st := s.Status(job); st.State != StateDone {
+			t.Fatalf("layer-%d job %s state %s, error %q", layer, job.ID, st.State, st.Error)
+		}
+	}
+	m := o.Metrics()
+	designs := int64(len(suiteDesigns(layout.TierStandard, testScale, testSeed)))
+	if got := m.Counter("layout.designs.generated").Value(); got != designs {
+		t.Errorf("layout.designs.generated = %d, want one suite of %d designs", got, designs)
+	}
+	if got := m.Counter("split.challenges").Value(); got != 2*designs {
+		t.Errorf("split.challenges = %d, want one cut of %d designs per layer", got, designs)
+	}
+	if insts := m.Cache("serve.instances"); insts.Misses() != 2 || insts.Hits() != 0 {
+		t.Errorf("serve.instances hit/miss %d/%d, want 0/2: one lookup per job, each a new layer",
+			insts.Hits(), insts.Misses())
+	}
+}
+
 // TestServeCancelRunningFreesSlot cancels a mid-run job on a pool of one
 // and checks the slot frees for the next job immediately.
 func TestServeCancelRunningFreesSlot(t *testing.T) {

@@ -121,6 +121,18 @@ type ConfigSpec struct {
 	Ranking *bool `json:"ranking,omitempty"`
 }
 
+// Ceilings on what one served job may size. Each bounds work or memory the
+// server commits before anything else can stop the job: the suite it
+// generates (a scale-1e6 standard suite would have 5.1e10 cells), the tree
+// slice and the MLP weights allocated up front, and an epoch loop that
+// keeps running after a cancel. They are fixed, not options.
+const (
+	maxScale     = 2.0
+	maxNumTrees  = 1000
+	maxMLPHidden = 1024
+	maxMLPEpochs = 1000
+)
+
 // resolve turns the wire form into an engine configuration.
 func (cs ConfigSpec) resolve() (attack.Config, error) {
 	var cfg attack.Config
@@ -192,6 +204,14 @@ func (cs ConfigSpec) resolve() (attack.Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
 	}
+	switch {
+	case cfg.NumTrees > maxNumTrees:
+		return cfg, fmt.Errorf("num_trees %d above the ceiling %d", cfg.NumTrees, maxNumTrees)
+	case cfg.MLPHidden > maxMLPHidden:
+		return cfg, fmt.Errorf("mlp_hidden %d above the ceiling %d", cfg.MLPHidden, maxMLPHidden)
+	case cfg.MLPEpochs > maxMLPEpochs:
+		return cfg, fmt.Errorf("mlp_epochs %d above the ceiling %d", cfg.MLPEpochs, maxMLPEpochs)
+	}
 	return cfg, nil
 }
 
@@ -221,8 +241,8 @@ func (s *Server) normalize(spec JobSpec) (JobSpec, error) {
 	if spec.Scale == 0 {
 		spec.Scale = s.opts.DefaultScale
 	}
-	if spec.Scale <= 0 {
-		return spec, fmt.Errorf("scale %g must be positive", spec.Scale)
+	if !(spec.Scale > 0 && spec.Scale <= maxScale) {
+		return spec, fmt.Errorf("scale %g outside (0, %g]", spec.Scale, maxScale)
 	}
 	if spec.Seed == nil {
 		seed := s.opts.DefaultSeed

@@ -49,6 +49,9 @@ func TestServeDefaultTierOption(t *testing.T) {
 	if _, err := New(Options{Pool: 1, runner: stubRunner, DefaultTier: "huge"}); err == nil {
 		t.Error("server accepted an unknown default tier")
 	}
+	if _, err := New(Options{Pool: 1, runner: stubRunner, DefaultScale: maxScale * 2}); err == nil {
+		t.Error("server accepted a default scale above the ceiling")
+	}
 	s := newTestServer(t, Options{Pool: 1, runner: stubRunner,
 		DefaultTier: layout.TierIndustrial, DefaultScale: testScale, DefaultSeed: testSeed})
 	norm, err := s.normalize(JobSpec{Kind: KindAttack, Design: "sbx10",

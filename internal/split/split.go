@@ -12,7 +12,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/route"
 )
 
@@ -59,22 +58,6 @@ type Challenge struct {
 // congestionRadius is the tile-window radius used for the PC and RC
 // density measurements.
 const congestionRadius = 1
-
-// NewChallengeObs is NewChallenge with a span, a debug log line, and a
-// challenge counter on an observability context (nil disables them).
-func NewChallengeObs(o *obs.Context, d *layout.Design, splitLayer int) (*Challenge, error) {
-	sp := o.Begin("split.challenge", obs.F("design", d.Name), obs.F("layer", splitLayer))
-	ch, err := NewChallenge(d, splitLayer)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.SetAttr("vpins", len(ch.VPins))
-	sp.End()
-	o.Metrics().Counter("split.challenges").Inc()
-	o.Log().Debug("challenge cut", "design", d.Name, "layer", splitLayer, "vpins", len(ch.VPins))
-	return ch, nil
-}
 
 // NewChallenge cuts the design at the given via layer (1..route.NumVia) and
 // extracts all v-pins. Split layers 4, 6 and 8 are the ones studied in the

@@ -120,30 +120,33 @@ func (st *Stats) Add(o Stats) {
 	st.Recomputed += o.Recomputed
 }
 
-// Run is the checkpointed, sharded leave-one-out of cfg over insts (one
-// split layer, challenges at y-noise SD noise): attack.RunFolds, with every
-// fold the shard owns (the zero shard owns all) going through RunUnit as the
-// unit NewUnit mints from prov and insts[fold]. Folds owned by other shards
-// stay nil in the Result. ctx is checked before each owned fold. The
+// Run is the checkpointed, sharded leave-one-out of cfg on the suite's
+// (layer, noise) cut: attack.RunFolds over the cut's instances with the
+// suite's run context stamped onto cfg, every fold the shard owns (the zero
+// shard owns all) going through RunUnit against the suite's checkpoint as
+// the unit NewUnit mints from the suite's provenance. Folds owned by other
+// shards stay nil in the Result. ctx is checked before each owned fold. The
 // experiment suite, its shard planner and the job server's sweeps all run
 // here, so a fold becomes the same unit, owned by the same shard, on every
 // path. The Result is bit-identical to attack.RunInstances at any pool size
 // and any mix of loaded and computed folds.
-func Run(ctx context.Context, ck *Checkpoint, prov Provenance, sh Shard, cfg attack.Config,
-	noise float64, insts []*attack.Instance) (*attack.Result, Stats, error) {
-
+func Run(ctx context.Context, s *Suite, sh Shard, cfg attack.Config, layer int, noise float64) (*attack.Result, Stats, error) {
+	insts, _, err := s.Instances(layer, noise)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	cfg = s.Config(cfg)
 	var mu sync.Mutex
 	var st Stats
 	res, err := attack.RunFolds(cfg, insts, func(fold, _ int, _ *obs.Span) (*attack.Evaluation, float64, error) {
-		ch := insts[fold].Ch
-		u := NewUnit(prov, cfg, ch.SplitLayer, noise, fold, ch.Design.Name)
+		u := NewUnit(s.Prov, cfg, layer, noise, fold, insts[fold].Ch.Design.Name)
 		if !sh.Owns(u.Key()) {
 			return nil, 0, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		ev, radius, outcome, err := RunUnit(cfg.Obs, ck, u, cfg, insts)
+		ev, radius, outcome, err := RunUnit(cfg.Obs, s.Checkpoint, u, cfg, insts)
 		if err != nil {
 			return nil, 0, err
 		}

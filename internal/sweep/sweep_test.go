@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/layout"
+	"repro/internal/obs"
 	"repro/internal/split"
 )
 
@@ -305,38 +306,104 @@ func TestCheckpointInconsistentEvalDiscarded(t *testing.T) {
 }
 
 var (
-	fixtureOnce  sync.Once
-	fixtureErr   error
-	fixtureInsts []*attack.Instance
+	fixtureOnce    sync.Once
+	fixtureErr     error
+	fixtureDesigns []*layout.Design
 )
 
-// foldFixture returns the standard suite at scale 0.12, seed 3, prepared at
-// split layer 8, its provenance, and a two-tree ML-9 configuration.
-func foldFixture(t *testing.T) (Provenance, []*attack.Instance, attack.Config) {
+// fixtureSuite prepares the standard suite at scale 0.12, seed 3, afresh
+// from designs generated once: no cut built, no checkpoint.
+func fixtureSuite(t *testing.T) *Suite {
 	t.Helper()
 	prov := Provenance{Scale: 0.12, Seed: 3}
 	fixtureOnce.Do(func() {
-		designs, err := layout.GenerateSuite(layout.SuiteConfig{Scale: prov.Scale, Seed: prov.Seed})
-		if err != nil {
-			fixtureErr = err
-			return
-		}
-		chs := make([]*split.Challenge, len(designs))
-		for i, d := range designs {
-			if chs[i], err = split.NewChallenge(d, 8); err != nil {
-				fixtureErr = err
-				return
-			}
-		}
-		fixtureInsts = attack.NewInstancesWorkers(chs, 0)
+		fixtureDesigns, fixtureErr = layout.GenerateSuite(layout.SuiteConfig{Scale: prov.Scale, Seed: prov.Seed})
 	})
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
 	}
+	return SuiteOf(prov, fixtureDesigns)
+}
+
+// foldFixture returns a fresh fixture suite, its instances at split layer
+// 8, and a two-tree ML-9 configuration.
+func foldFixture(t *testing.T) (*Suite, []*attack.Instance, attack.Config) {
+	t.Helper()
+	s := fixtureSuite(t)
+	insts, _, err := s.Instances(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := attack.ML9()
 	cfg.NumTrees = 2
-	cfg.Seed = prov.Seed
-	return prov, fixtureInsts, cfg
+	cfg.Seed = s.Prov.Seed
+	return s, insts, cfg
+}
+
+// TestSuiteCutsOnce: eight goroutines that ask a fresh suite for the same
+// instances and the same noisy challenges at once share one build of each
+// cut. One call per key is told it built, each key is counted as one miss,
+// and the clean cut under both is made once, one split.challenges per
+// design.
+func TestSuiteCutsOnce(t *testing.T) {
+	const n = 8
+	s := fixtureSuite(t)
+	s.Obs = obs.New(obs.Options{Command: "test"})
+	insts := make([][]*attack.Instance, n)
+	noisy := make([][]*split.Challenge, n)
+	built := make([]bool, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			var hit bool
+			var err error
+			if insts[i], hit, err = s.Instances(6, 0); err != nil {
+				t.Error(err)
+			}
+			built[i] = !hit
+			if noisy[i], err = s.Challenges(6, 0.01); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	builds := 0
+	for i := 0; i < n; i++ {
+		if built[i] {
+			builds++
+		}
+		if &insts[i][0] != &insts[0][0] || &noisy[i][0] != &noisy[0][0] {
+			t.Fatalf("goroutine %d got its own build of a cut", i)
+		}
+	}
+	if builds != 1 {
+		t.Errorf("%d calls were told they built the instances, want 1", builds)
+	}
+	m := s.Obs.Metrics()
+	if ic := m.Cache("suite.instances"); ic.Misses() != 1 || ic.Hits() != n-1 {
+		t.Errorf("suite.instances hit/miss %d/%d, want %d/1", ic.Hits(), ic.Misses(), n-1)
+	}
+	// Eight noisy lookups plus one clean lookup by each of the two builds:
+	// a miss for each of the two keys, a hit for the rest.
+	if cc := m.Cache("suite.cache"); cc.Misses() != 2 || cc.Hits() != n {
+		t.Errorf("suite.cache hit/miss %d/%d, want %d/2", cc.Hits(), cc.Misses(), n)
+	}
+	if got := m.Counter("split.challenges").Value(); got != int64(len(s.Designs)) {
+		t.Errorf("split.challenges = %d, want one clean cut of %d designs", got, len(s.Designs))
+	}
+	clean, err := s.Challenges(6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if insts[0][0].Ch != clean[0] || noisy[0][0].Design != clean[0].Design || noisy[0][0] == clean[0] {
+		t.Error("the instances and the noisy cut are not built over the suite's clean cut")
+	}
 }
 
 // TestRunShardsPartitionFolds runs one configuration's leave-one-out as
@@ -345,9 +412,9 @@ func foldFixture(t *testing.T) (Provenance, []*attack.Instance, attack.Config) {
 // Stats sum to one owned, computed unit per fold, and a zero-shard Run over
 // the checkpoint loads every fold.
 func TestRunShardsPartitionFolds(t *testing.T) {
-	prov, insts, cfg := foldFixture(t)
+	s, insts, cfg := foldFixture(t)
 	ctx := context.Background()
-	full, st, err := Run(ctx, nil, prov, Shard{}, cfg, 0, insts)
+	full, st, err := Run(ctx, s, Shard{}, cfg, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +425,11 @@ func TestRunShardsPartitionFolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Checkpoint = ck
 	var sum Stats
 	owners := make([]int, len(insts))
 	for i := 1; i <= 3; i++ {
-		part, st, err := Run(ctx, ck, prov, Shard{Index: i, Count: 3}, cfg, 0, insts)
+		part, st, err := Run(ctx, s, Shard{Index: i, Count: 3}, cfg, 8, 0)
 		if err != nil {
 			t.Fatalf("shard %d/3: %v", i, err)
 		}
@@ -389,7 +457,7 @@ func TestRunShardsPartitionFolds(t *testing.T) {
 	if want := (Stats{Owned: len(insts), Done: len(insts)}); sum != want {
 		t.Errorf("shard stats sum to %+v, want %+v", sum, want)
 	}
-	merged, st, err := Run(ctx, ck, prov, Shard{}, cfg, 0, insts)
+	merged, st, err := Run(ctx, s, Shard{}, cfg, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,10 +474,10 @@ func TestRunShardsPartitionFolds(t *testing.T) {
 // TestRunCancelled: a cancelled context fails every owned fold before any
 // engine work.
 func TestRunCancelled(t *testing.T) {
-	prov, insts, cfg := foldFixture(t)
+	s, _, cfg := foldFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, st, err := Run(ctx, nil, prov, Shard{}, cfg, 0, insts)
+	_, st, err := Run(ctx, s, Shard{}, cfg, 8, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run under a cancelled context: %v, want context.Canceled", err)
 	}
@@ -422,8 +490,8 @@ func TestRunCancelled(t *testing.T) {
 // of the wrong size for a real fold: RunUnit must recompute it rather than
 // serve it, and overwrite the file with the fold's own result.
 func TestRunUnitRecomputesOtherVpinCount(t *testing.T) {
-	prov, insts, cfg := foldFixture(t)
-	u := NewUnit(prov, cfg, 8, 0, 0, insts[0].Ch.Design.Name)
+	s, insts, cfg := foldFixture(t)
+	u := NewUnit(s.Prov, cfg, 8, 0, 0, insts[0].Ch.Design.Name)
 	ck, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,10 @@
 // fold), which makes the checkpoint content-addressed: a shard resumes by
 // skipping keys that already have valid unit files, and a merge is just
 // loading every key of the plan.
+//
+// A Suite is the generated suite those units run against, prepared once:
+// its designs, each (layer, noise) cut of them, and the run context every
+// run shares. Run is the one checkpointed, sharded leave-one-out on it.
 package sweep
 
 import (
