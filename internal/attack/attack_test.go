@@ -2,6 +2,7 @@ package attack
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -91,6 +92,39 @@ func TestConfigDefaults(t *testing.T) {
 	cr := Config{TrainOptions: model.TrainOptions{Name: "x", BaseKind: ml.RandomTree}}.withDefaults()
 	if cr.NumTrees != ml.DefaultForestSize {
 		t.Errorf("random-tree default trees %d", cr.NumTrees)
+	}
+}
+
+// configSink keeps the configurations built under testing.AllocsPerRun.
+var configSink Config
+
+// TestConfigByNameBuildsOne resolves every listed preset to a config equal
+// to the listed one, refuses unknown names, and checks that a lookup
+// allocates no more than building its one preset. The list keeps its
+// presentation order: the standard configurations, their Y variants, then
+// the DL-perspective ones.
+func TestConfigByNameBuildsOne(t *testing.T) {
+	want := append(StandardConfigs(), StandardConfigsY()...)
+	want = append(want, DLMLP(), DLMLPRank())
+	listed := ConfigPresets()
+	if !reflect.DeepEqual(listed, want) {
+		t.Fatalf("ConfigPresets lists %d presets out of presentation order", len(listed))
+	}
+	for _, c := range listed {
+		got, ok := ConfigByName(c.Name)
+		if !ok || !reflect.DeepEqual(got, c) {
+			t.Errorf("ConfigByName(%q) = %+v, %v; want the listed preset", c.Name, got, ok)
+		}
+	}
+	for _, name := range []string{"", "ml-9", "Imp-11YY", "Imp-11 ", "DL-MLP-Y"} {
+		if _, ok := ConfigByName(name); ok {
+			t.Errorf("ConfigByName(%q) resolved an unknown name", name)
+		}
+	}
+	lookup := testing.AllocsPerRun(50, func() { configSink, _ = ConfigByName("Imp-11Y") })
+	build := testing.AllocsPerRun(50, func() { configSink = WithY(Imp11()) })
+	if lookup > build {
+		t.Errorf("ConfigByName allocates %v times per lookup, building the preset %v", lookup, build)
 	}
 }
 

@@ -156,25 +156,49 @@ func StandardConfigs() []Config {
 	return []Config{ML9(), Imp9(), Imp7(), Imp11()}
 }
 
+// presets are the constructors of every named configuration preset, in
+// presentation order.
+var presets = []func() Config{
+	ML9, Imp9, Imp7, Imp11,
+	func() Config { return WithY(ML9()) },
+	func() Config { return WithY(Imp9()) },
+	func() Config { return WithY(Imp7()) },
+	func() Config { return WithY(Imp11()) },
+	DLMLP, DLMLPRank,
+}
+
+// presetByName maps each preset's report name to its constructor.
+var presetByName = func() map[string]func() Config {
+	m := make(map[string]func() Config, len(presets))
+	for _, build := range presets {
+		m[build().Name] = build
+	}
+	return m
+}()
+
 // ConfigByName resolves a named configuration preset by its report name
 // ("ML-9", "Imp-11", "Imp-7Y", "DL-MLP", ...), covering StandardConfigs,
 // their "Y" variants, and the DL-perspective configurations. Commands and
-// the job server accept these names as config presets.
+// the job server accept these names as config presets. A lookup builds
+// only the configuration it returns.
 func ConfigByName(name string) (Config, bool) {
-	for _, c := range ConfigPresets() {
-		if c.Name == name {
-			return c, true
-		}
+	build, ok := presetByName[name]
+	if !ok {
+		return Config{}, false
 	}
-	return Config{}, false
+	return build(), true
 }
 
 // ConfigPresets lists every named configuration preset ConfigByName
-// resolves, in presentation order. The serve layer's GET /configs endpoint
-// reports these names.
+// resolves, in presentation order: StandardConfigs, StandardConfigsY, then
+// DLMLP and DLMLPRank. The serve layer's GET /configs endpoint reports
+// these names.
 func ConfigPresets() []Config {
-	presets := append(StandardConfigs(), StandardConfigsY()...)
-	return append(presets, DLMLP(), DLMLPRank())
+	out := make([]Config, len(presets))
+	for i, build := range presets {
+		out[i] = build()
+	}
+	return out
 }
 
 // StandardConfigsY returns the four "Y" variants evaluated at split layer 8.

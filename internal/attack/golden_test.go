@@ -216,8 +216,9 @@ func fullScaleChallenges(t *testing.T) []*split.Challenge {
 }
 
 // layoutHashes adds the SHA-256 of layout.Save's bytes for every design of
-// chs to out, keyed "<tier>/<design>".
-func layoutHashes(t *testing.T, tier string, chs []*split.Challenge, out map[string]string) {
+// chs to out, keyed "<suite>/<design>": the tier for the fixture and the
+// industrial suite, "full_scale" for the standard suite at scale 1.0.
+func layoutHashes(t *testing.T, suite string, chs []*split.Challenge, out map[string]string) {
 	t.Helper()
 	for _, c := range chs {
 		var buf bytes.Buffer
@@ -225,7 +226,7 @@ func layoutHashes(t *testing.T, tier string, chs []*split.Challenge, out map[str
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(buf.Bytes())
-		out[tier+"/"+c.Design.Name] = hex.EncodeToString(sum[:])
+		out[suite+"/"+c.Design.Name] = hex.EncodeToString(sum[:])
 	}
 }
 
@@ -244,7 +245,9 @@ func computeGolden(t *testing.T) goldenTable {
 		Layouts: map[string]string{},
 	}
 
-	full := NewInstancesWorkers(fullScaleChallenges(t), 0)
+	fullChs := fullScaleChallenges(t)
+	layoutHashes(t, "full_scale", fullChs, tab.Layouts)
+	full := NewInstancesWorkers(fullChs, 0)
 	tab.FullScale.Designs = len(full)
 	for _, c := range []Config{ML9(), Imp11(), twoLevel11()} {
 		c.Seed = 1

@@ -96,30 +96,38 @@ func layerFracs(tt TrunkTargets, totalNets int) [route.NumMetal + 1]float64 {
 
 // Generate builds a complete design from a profile. Generation is
 // deterministic in the profile (including its seed).
-func Generate(p Profile) (*Design, error) {
+func Generate(p Profile) (*Design, error) { return generate(p, nil) }
+
+// generate is Generate with one span per stage under sp: netlist.cells,
+// place.place, netlist.nets and route.route. A nil sp disables them.
+func generate(p Profile, sp *obs.Span) (*Design, error) {
 	if p.NumCells <= 0 || p.NumNets <= 0 {
 		return nil, fmt.Errorf("layout: profile %q missing sizes", p.Name)
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	lib := cell.DefaultLibrary()
 
+	stage := sp.Begin("netlist.cells")
 	cells, err := netlist.GenerateCells(lib, netlist.CellMixConfig{
 		NumCells:    p.NumCells,
 		NumMacros:   p.NumMacros,
 		SeqFraction: p.SeqFraction,
 	}, rng)
+	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("layout: %s: %w", p.Name, err)
 	}
 	nl := &netlist.Netlist{Lib: lib, Cells: cells}
 
 	die := geom.R(0, 0, p.DieSize, p.DieSize)
+	stage = sp.Begin("place.place")
 	pl, err := place.Place(nl, place.Config{
 		Die:               die,
 		Clusters:          p.Clusters,
 		ClusterTightness:  p.ClusterTightness,
 		UtilisationTarget: 0.9,
 	}, rng)
+	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("layout: %s: %w", p.Name, err)
 	}
@@ -131,10 +139,12 @@ func Generate(p Profile) (*Design, error) {
 			MeanReach: geom.Coord(rc.Reach * float64(p.DieSize)),
 		}
 	}
+	stage = sp.Begin("netlist.nets")
 	nets, err := netlist.GenerateNets(cells, pl.Origin, die, netlist.NetGenConfig{
 		NumNets: p.NumNets,
 		Classes: classes,
 	}, rng)
+	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("layout: %s: %w", p.Name, err)
 	}
@@ -149,7 +159,9 @@ func Generate(p Profile) (*Design, error) {
 		EscapeJitter: p.EscapeJitter,
 		DetourProb:   p.DetourProb,
 	}
+	stage = sp.Begin("route.route")
 	routing, err := route.BuildRouting(nl, pl, rcfg, rng)
+	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("layout: %s: %w", p.Name, err)
 	}
@@ -367,11 +379,12 @@ func GenerateSuite(cfg SuiteConfig) ([]*Design, error) {
 	return GenerateSuiteObs(nil, cfg)
 }
 
-// GenerateSuiteObs is GenerateSuite with per-design spans, logs, and
-// counters on an observability context (nil disables them). Designs are
-// generated concurrently on up to cfg.Workers goroutines (0 = GOMAXPROCS);
-// each design is deterministic in its own profile seed, so the returned
-// suite is identical at any worker count.
+// GenerateSuiteObs is GenerateSuite with per-design spans (each with a
+// span per generation stage), logs, and counters on an observability
+// context (nil disables them). Designs are generated concurrently on up
+// to cfg.Workers goroutines (0 = GOMAXPROCS); each design is deterministic
+// in its own profile seed, so the returned suite is identical at any
+// worker count.
 func GenerateSuiteObs(o *obs.Context, cfg SuiteConfig) ([]*Design, error) {
 	profiles := SuiteProfiles(cfg)
 	if profiles == nil {
@@ -388,7 +401,7 @@ func GenerateSuiteObs(o *obs.Context, cfg SuiteConfig) ([]*Design, error) {
 	err := par.For(len(profiles), workers, func(_, i int) error {
 		p := profiles[i]
 		dsp := sp.Begin("design", obs.F("name", p.Name))
-		d, err := Generate(p)
+		d, err := generate(p, dsp)
 		if err != nil {
 			dsp.End()
 			return err

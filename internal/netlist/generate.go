@@ -123,32 +123,45 @@ func GenerateNets(cells []Cell, pos func(int) geom.Point, die geom.Rect, cfg Net
 	}
 
 	// Free pin bookkeeping: each output pin drives at most one net and each
-	// input pin is driven by at most one net.
-	type freePins struct{ in, out []int }
+	// input pin is driven by at most one net. A cell's free pins are the
+	// first in (out) entries of its kind's input (output) pin list, taken
+	// from the end; each kind's lists are built once.
+	type pinLists struct{ in, out []int }
+	type freePins struct {
+		kind    *pinLists
+		in, out int
+	}
+	kinds := map[*cell.Kind]*pinLists{}
 	free := make([]freePins, len(cells))
-	var drivers []int // cell IDs with at least one free output pin
+	var drivers, sinks []int // cell IDs with a free output / input pin
 	for i, c := range cells {
-		free[i].in = append([]int(nil), c.Kind.Inputs()...)
-		free[i].out = append([]int(nil), c.Kind.Outputs()...)
-		if len(free[i].out) > 0 {
+		k := kinds[c.Kind]
+		if k == nil {
+			k = &pinLists{in: c.Kind.Inputs(), out: c.Kind.Outputs()}
+			kinds[c.Kind] = k
+		}
+		free[i] = freePins{kind: k, in: len(k.in), out: len(k.out)}
+		if len(k.out) > 0 {
 			drivers = append(drivers, i)
+		}
+		if len(k.in) > 0 {
+			sinks = append(sinks, i)
 		}
 	}
 
 	// Spatial index of cells with free input pins, for proximity sampling.
-	idx := newCellIndex(cells, pos, die)
+	idx := newCellIndex(die, pos, sinks, len(cells))
 
 	takeIn := func(cellID int) (int, bool) {
 		f := &free[cellID]
-		if len(f.in) == 0 {
+		if f.in == 0 {
 			return -1, false
 		}
-		p := f.in[len(f.in)-1]
-		f.in = f.in[:len(f.in)-1]
-		if len(f.in) == 0 {
+		f.in--
+		if f.in == 0 {
 			idx.remove(cellID)
 		}
-		return p, true
+		return f.kind.in[f.in], true
 	}
 
 	fanout := func() int {
@@ -205,12 +218,12 @@ func GenerateNets(cells []Cell, pos func(int) geom.Point, die geom.Rect, cfg Net
 		cellID := drivers[perm[di]]
 		di++
 		f := &free[cellID]
-		if len(f.out) == 0 {
+		if f.out == 0 {
 			continue
 		}
-		outPin := f.out[len(f.out)-1]
-		f.out = f.out[:len(f.out)-1]
-		if len(f.out) > 0 {
+		f.out--
+		outPin := f.kind.out[f.out]
+		if f.out > 0 {
 			// Put multi-output cells (macros) back in rotation.
 			perm = append(perm, perm[di-1])
 		}
@@ -223,7 +236,8 @@ func GenerateNets(cells []Cell, pos func(int) geom.Point, die geom.Rect, cfg Net
 			Name:   fmt.Sprintf("n%d", len(nets)),
 			Driver: PinRef{Cell: cellID, Pin: outPin},
 		}
-		seen := map[int]bool{cellID: true}
+		idx.beginNet()
+		idx.exclude(cellID)
 		for s := 0; s < want; s++ {
 			// Manhattan-radius target point: exponential distance, random
 			// direction split between x and y.
@@ -238,7 +252,7 @@ func GenerateNets(cells []Cell, pos func(int) geom.Point, die geom.Rect, cfg Net
 				dy = -dy
 			}
 			target := die.ClampPoint(origin.Add(geom.Pt(dx, dy)))
-			sinkCell, ok := idx.nearest(target, seen)
+			sinkCell, ok := idx.nearest(target)
 			if !ok {
 				break // no free input pins anywhere
 			}
@@ -246,7 +260,7 @@ func GenerateNets(cells []Cell, pos func(int) geom.Point, die geom.Rect, cfg Net
 			if !ok {
 				continue
 			}
-			seen[sinkCell] = true
+			idx.exclude(sinkCell)
 			net.Sinks = append(net.Sinks, PinRef{Cell: sinkCell, Pin: pin})
 		}
 		if len(net.Sinks) == 0 {
@@ -258,20 +272,34 @@ func GenerateNets(cells []Cell, pos func(int) geom.Point, die geom.Rect, cfg Net
 }
 
 // cellIndex is a tile-bucketed index of cells that still have free input
-// pins, supporting nearest-cell queries via an expanding ring search.
+// pins, supporting nearest-cell queries via an expanding ring search. Each
+// tile stores its cells' positions inline, a per-cell slot table makes
+// removal O(1), and a per-net stamp marks the cells a query must skip.
 type cellIndex struct {
 	die   geom.Rect
 	tile  geom.Coord
 	nx    int
 	ny    int
-	cells [][]int // tile -> cell IDs
-	pos   func(int) geom.Point
-	slot  map[int]int // cell ID -> tile index, for removal
+	tiles [][]tileEntry // tile -> its cells, in insertion and removal order
+	slot  []tileSlot    // cell ID -> where its entry is; tile -1 when absent
+	seen  []uint32      // cell ID -> stamp of the last net that excluded it
+	stamp uint32        // the current net's stamp
 }
 
-func newCellIndex(cells []Cell, pos func(int) geom.Point, die geom.Rect) *cellIndex {
+// tileEntry is one indexed cell: its position, copied once, and its ID.
+type tileEntry struct {
+	x, y geom.Coord
+	id   int32
+}
+
+// tileSlot locates a cell's entry: its tile and its position in the tile.
+type tileSlot struct{ tile, i int32 }
+
+// newCellIndex indexes the cells listed in ids, in ascending order, of a
+// netlist of n cells, at the positions pos gives.
+func newCellIndex(die geom.Rect, pos func(int) geom.Point, ids []int, n int) *cellIndex {
 	// Aim for a few dozen cells per tile.
-	tiles := len(cells)/32 + 1
+	tiles := n/32 + 1
 	tile := die.Width()
 	for nx := 1; nx*nx < tiles; nx++ {
 		tile = die.Width() / geom.Coord(nx)
@@ -280,21 +308,23 @@ func newCellIndex(cells []Cell, pos func(int) geom.Point, die geom.Rect) *cellIn
 		tile = 1
 	}
 	ix := &cellIndex{
-		die:  die,
-		tile: tile,
-		nx:   int(die.Width()/tile) + 1,
-		ny:   int(die.Height()/tile) + 1,
-		pos:  pos,
-		slot: make(map[int]int, len(cells)),
+		die:   die,
+		tile:  tile,
+		nx:    int(die.Width()/tile) + 1,
+		ny:    int(die.Height()/tile) + 1,
+		slot:  make([]tileSlot, n),
+		seen:  make([]uint32, n),
+		stamp: 1,
 	}
-	ix.cells = make([][]int, ix.nx*ix.ny)
-	for _, c := range cells {
-		if len(c.Kind.Inputs()) == 0 {
-			continue
-		}
-		ti := ix.tileOf(pos(c.ID))
-		ix.cells[ti] = append(ix.cells[ti], c.ID)
-		ix.slot[c.ID] = ti
+	ix.tiles = make([][]tileEntry, ix.nx*ix.ny)
+	for i := range ix.slot {
+		ix.slot[i].tile = -1
+	}
+	for _, id := range ids {
+		p := pos(id)
+		ti := ix.tileOf(p)
+		ix.slot[id] = tileSlot{tile: int32(ti), i: int32(len(ix.tiles[ti]))}
+		ix.tiles[ti] = append(ix.tiles[ti], tileEntry{x: p.X, y: p.Y, id: int32(id)})
 	}
 	return ix
 }
@@ -312,31 +342,42 @@ func (ix *cellIndex) tileOf(p geom.Point) int {
 	return ty*ix.nx + tx
 }
 
+// remove drops a cell from the index: the tile's last entry takes its
+// place.
 func (ix *cellIndex) remove(cellID int) {
-	ti, ok := ix.slot[cellID]
-	if !ok {
+	s := ix.slot[cellID]
+	if s.tile < 0 {
 		return
 	}
-	delete(ix.slot, cellID)
-	bucket := ix.cells[ti]
-	for i, id := range bucket {
-		if id == cellID {
-			bucket[i] = bucket[len(bucket)-1]
-			ix.cells[ti] = bucket[:len(bucket)-1]
-			return
-		}
-	}
+	bucket := ix.tiles[s.tile]
+	last := bucket[len(bucket)-1]
+	bucket[s.i] = last
+	ix.slot[last.id].i = s.i
+	ix.tiles[s.tile] = bucket[:len(bucket)-1]
+	ix.slot[cellID].tile = -1
 }
 
+// beginNet starts a new net: the cells excluded for the previous one are
+// candidates again.
+func (ix *cellIndex) beginNet() { ix.stamp++ }
+
+// exclude keeps a cell out of nearest's answers until the next beginNet.
+func (ix *cellIndex) exclude(cellID int) { ix.seen[cellID] = ix.stamp }
+
 // nearest returns the cell with a free input pin closest to target,
-// excluding the IDs in skip. The search expands tile rings outward until a
-// candidate ring yields no improvement.
-func (ix *cellIndex) nearest(target geom.Point, skip map[int]bool) (int, bool) {
+// excluding the current net's cells; of equally close cells, the first
+// visited wins. The search expands tile rings outward until a candidate
+// ring yields no improvement. A tile row or tile whose distance from
+// target is at least the best distance so far holds no cell that could
+// improve on it, so it is skipped without changing the pick or where the
+// search stops.
+func (ix *cellIndex) nearest(target geom.Point) (int, bool) {
 	q := ix.die.ClampPoint(target)
 	tx := int((q.X - ix.die.Lo.X) / ix.tile)
 	ty := int((q.Y - ix.die.Lo.Y) / ix.tile)
 	best, bestD := -1, geom.Coord(1)<<60
-	maxR := ix.nx + ix.ny
+	// Rings beyond the grid's farthest edge hold no tiles.
+	maxR := max(tx, ix.nx-1-tx, ty, ix.ny-1-ty)
 	for r := 0; r <= maxR; r++ {
 		found := false
 		for dy := -r; dy <= r; dy++ {
@@ -344,22 +385,27 @@ func (ix *cellIndex) nearest(target geom.Point, skip map[int]bool) (int, bool) {
 			if y < 0 || y >= ix.ny {
 				continue
 			}
-			for dx := -r; dx <= r; dx++ {
-				// Ring only: skip interior tiles already visited.
-				if dx > -r && dx < r && dy > -r && dy < r {
-					continue
-				}
+			gy := gap(y, ix.ny, ix.die.Lo.Y, ix.tile, target.Y)
+			if gy >= bestD {
+				continue
+			}
+			// Ring only: rows strictly inside it hold just its two ends.
+			step := 1
+			if dy > -r && dy < r {
+				step = 2 * r
+			}
+			for dx := -r; dx <= r; dx += step {
 				x := tx + dx
-				if x < 0 || x >= ix.nx {
+				if x < 0 || x >= ix.nx || gy+gap(x, ix.nx, ix.die.Lo.X, ix.tile, target.X) >= bestD {
 					continue
 				}
-				for _, id := range ix.cells[y*ix.nx+x] {
-					if skip[id] {
+				for _, e := range ix.tiles[y*ix.nx+x] {
+					if ix.seen[e.id] == ix.stamp {
 						continue
 					}
-					d := ix.pos(id).Manhattan(target)
+					d := (e.x - target.X).Abs() + (e.y - target.Y).Abs()
 					if d < bestD {
-						best, bestD = id, d
+						best, bestD = int(e.id), d
 						found = true
 					}
 				}
@@ -375,4 +421,19 @@ func (ix *cellIndex) nearest(target geom.Point, skip map[int]bool) (int, bool) {
 		return 0, false
 	}
 	return best, true
+}
+
+// gap is a lower bound on the distance along one axis from coordinate v
+// to any cell in tile t of a row or column of n tiles of the given size
+// starting at lo. The first and last tiles also hold the cells clamped
+// onto the die from outside it, so they are open outward.
+func gap(t, n int, lo, size, v geom.Coord) geom.Coord {
+	start := lo + geom.Coord(t)*size
+	if t > 0 && v < start {
+		return start - v
+	}
+	if end := start + size - 1; t < n-1 && v > end {
+		return v - end
+	}
+	return 0
 }

@@ -146,8 +146,7 @@ func TestLongNetsGetHighLayers(t *testing.T) {
 	nl, pl, r := buildTestDesign(t, 4, 2000, 1500)
 	var lowLens, highLens []float64
 	for i := range nl.Nets {
-		pts := pinPoints(nl, pl, &nl.Nets[i])
-		h := float64(geom.BoundingBox(pts).HalfPerimeter())
+		h := float64(pinBox(nl, pl, &nl.Nets[i]).HalfPerimeter())
 		if r.Routes[i].TrunkLayer >= 8 {
 			highLens = append(highLens, h)
 		} else if r.Routes[i].TrunkLayer <= 3 {

@@ -86,8 +86,7 @@ func BuildRouting(nl *netlist.Netlist, pl *place.Placement, cfg Config, rng *ran
 	demand := geom.NewGrid(die, tile)
 	bboxes := make([]geom.Rect, len(nl.Nets))
 	for i := range nl.Nets {
-		pts := pinPoints(nl, pl, &nl.Nets[i])
-		bboxes[i] = geom.BoundingBox(pts)
+		bboxes[i] = pinBox(nl, pl, &nl.Nets[i])
 		demand.Add(bboxes[i].Center())
 	}
 	meanDemand := float64(demand.Total()) / float64(numTiles(demand))
@@ -144,12 +143,16 @@ func numTiles(g *geom.Grid) int {
 	return nx * ny
 }
 
-func pinPoints(nl *netlist.Netlist, pl *place.Placement, n *netlist.Net) []geom.Point {
-	pts := make([]geom.Point, 0, 1+len(n.Sinks))
-	for _, ref := range n.Pins() {
-		pts = append(pts, pl.PinLocation(nl, ref))
+// pinBox returns the bounding box of a net's pins.
+func pinBox(nl *netlist.Netlist, pl *place.Placement, n *netlist.Net) geom.Rect {
+	p := pl.PinLocation(nl, n.Driver)
+	box := geom.Rect{Lo: p, Hi: p}
+	for _, ref := range n.Sinks {
+		p = pl.PinLocation(nl, ref)
+		box.Lo.X, box.Lo.Y = min(box.Lo.X, p.X), min(box.Lo.Y, p.Y)
+		box.Hi.X, box.Hi.Y = max(box.Hi.X, p.X), max(box.Hi.Y, p.Y)
 	}
-	return pts
+	return box
 }
 
 // assignLayers gives each net a trunk layer: nets are ranked by HPWL and the
@@ -157,13 +160,14 @@ func pinPoints(nl *netlist.Netlist, pl *place.Placement, n *netlist.Net) []geom.
 // nets use the widest, highest wires. Congestion then promotes some nets.
 func assignLayers(bboxes []geom.Rect, cfg Config, demand *geom.Grid, meanDemand float64, rng *rand.Rand) []int {
 	n := len(bboxes)
+	hpwl := make([]geom.Coord, n)
 	order := make([]int, n)
 	for i := range order {
+		hpwl[i] = bboxes[i].HalfPerimeter()
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		ha := bboxes[order[a]].HalfPerimeter()
-		hb := bboxes[order[b]].HalfPerimeter()
+		ha, hb := hpwl[order[a]], hpwl[order[b]]
 		if ha != hb {
 			return ha > hb
 		}
@@ -243,6 +247,9 @@ func routeNet(nl *netlist.Netlist, pl *place.Placement, n *netlist.Net,
 	rt := Route{Net: n.ID, TrunkLayer: trunk}
 
 	if trunk <= 2 {
+		// Each L-route adds at most two segments and one via.
+		rt.Segments = make([]Segment, 0, 2*len(sinkPts))
+		rt.Vias = make([]Via, 0, len(sinkPts))
 		rt.TrunkLayer = 2
 		// Pure local routing: L-shapes from the driver to every sink on
 		// M1 (horizontal) and M2 (vertical). No escape structure.
@@ -269,6 +276,11 @@ func routeNet(nl *netlist.Netlist, pl *place.Placement, n *netlist.Net,
 	}
 	eD := escape(driver, DriverSide)
 	eS := escape(sinkCenter, SinkSide)
+
+	// At most: an L-route (two segments, one via) per pin, two feeders and
+	// the trunk, a via per stack layer on either side, two trunk-end vias.
+	rt.Segments = make([]Segment, 0, 2*(1+len(sinkPts))+3)
+	rt.Vias = make([]Via, 0, 1+len(sinkPts)+2*(trunk-3)+2)
 
 	// Local routing below the stacks.
 	addLRoute(&rt, driver, eD, 1, 2, DriverSide)

@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime/metrics"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// specSeeds are the job specs of API.md's examples and the bodies
-// TestHTTPErrors submits.
+// specSeeds are the job specs of API.md's examples, the bodies
+// TestHTTPErrors submits, and a sweep of 3,001 empty configs, which
+// decoded in one pass would allocate about 330 bytes per body byte.
 var specSeeds = []string{
 	`{"kind":"attack","design":"sb1","layer":8,"config":{"preset":"Imp-11"}}`,
 	`{"kind":"proximity","design":"sb18","config":{"preset":"Imp-11Y","two_level":true}}`,
@@ -36,25 +38,40 @@ var specSeeds = []string{
 	`{"kind":"attack","design":"sb1","config":{"preset":"Imp-11","num_trees":1001}}`,
 	`{"kind":"attack","design":"sb1","config":{"preset":"DL-MLP","mlp_hidden":1025}}`,
 	`{"kind":"attack","design":"sb1","config":{"preset":"DL-MLP","mlp_epochs":1001}}`,
+	`{"kind":"sweep","configs":[` + strings.Repeat(`{},`, 3000) + `{}]}`,
 }
 
-// decodeSpec decodes a POST /jobs body the way handleSubmit does.
-func decodeSpec(data []byte) (JobSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var spec JobSpec
-	err := dec.Decode(&spec)
-	return spec, err
+// TestDecodeSpecConfigsCeiling holds a submitted sweep to maxSweepConfigs
+// configurations, however its "configs" key is spelled, however often it
+// appears and whatever its elements are.
+func TestDecodeSpecConfigsCeiling(t *testing.T) {
+	list := func(n int) string { return "[" + strings.Repeat(`{"preset":"ML-9"},`, n-1) + `{"preset":"ML-9"}]` }
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"kind":"sweep","configs":` + list(maxSweepConfigs) + `}`, true},
+		{`{"kind":"sweep","configs":` + list(maxSweepConfigs+1) + `}`, false},
+		{`{"kind":"sweep","Configs":` + list(maxSweepConfigs+1) + `}`, false},
+		{`{"kind":"sweep","configs":` + list(maxSweepConfigs+1) + `,"configs":[]}`, false},
+		{`{"kind":"sweep","configs":[],"CONFIGS":` + list(maxSweepConfigs+1) + `}`, false},
+		{`{"kind":"sweep","configs":[` + strings.Repeat(`1,`, maxSweepConfigs) + `1]}`, false},
+	} {
+		spec, err := decodeSpec([]byte(tc.body))
+		if (err == nil) != tc.ok {
+			t.Errorf("%.60s…: decoded %d configs, error %v; want ok %v", tc.body, len(spec.Configs), err, tc.ok)
+		}
+	}
 }
 
 // FuzzJobSpec feeds arbitrary bytes through the POST /jobs decoder and
 // normalize on a memory-only server. Neither may panic, together they may
-// allocate no more than a fixed multiple of the input, and a spec they
-// accept must stay within the size ceilings and normalize to itself again
-// after a round trip through its JSON record. The multiple is large
-// because normalize resolves every configuration of a sweep, and one
-// preset lookup allocates about 9.5 KB: 18 bytes of {"preset":"ML-9"}
-// cost about 530 bytes per input byte.
+// allocate no more than 64 times the input (the bound of the other
+// decoders' fuzz targets) plus a fixed 1 MiB, and a spec they accept must
+// stay within the size ceilings and normalize to itself again after a
+// round trip through its JSON record. The bound holds because the decoder
+// counts a sweep's configurations before it decodes them, and normalize's
+// preset lookups build only the preset they name.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range specSeeds {
 		f.Add([]byte(seed))
@@ -76,7 +93,7 @@ func FuzzJobSpec(f *testing.F) {
 			spec, err = s.normalize(spec)
 		}
 		metrics.Read(allocated)
-		if grew, limit := allocated[0].Value.Uint64()-before, uint64(1024*len(data)+1<<20); grew > limit {
+		if grew, limit := allocated[0].Value.Uint64()-before, uint64(64*len(data)+1<<20); grew > limit {
 			t.Fatalf("decoding and normalizing %d bytes allocated %d bytes, above %d", len(data), grew, limit)
 		}
 		if err != nil {
@@ -84,6 +101,9 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if !(spec.Scale > 0 && spec.Scale <= maxScale) {
 			t.Fatalf("accepted scale %g outside (0, %g]", spec.Scale, maxScale)
+		}
+		if len(spec.Configs) > maxSweepConfigs {
+			t.Fatalf("accepted a sweep of %d configs, above %d", len(spec.Configs), maxSweepConfigs)
 		}
 		configs := spec.Configs
 		if spec.Config != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,20 +81,27 @@ func (s *Server) Handler() http.Handler {
 // body.
 const maxSpecBytes = 1 << 20
 
+// maxSweepConfigs is the ceiling on the configurations of one submitted
+// sweep.
+const maxSweepConfigs = 256
+
 // handleSubmit accepts a JobSpec and enqueues it: 202 with the pending
 // job's status, 400 on an invalid spec, 413 on a body over maxSpecBytes,
 // 429 with Retry-After when the queue is full.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, status, "invalid_spec", "decode job spec: %v", err)
+		writeError(w, status, "invalid_spec", "read job spec: %v", err)
+		return
+	}
+	spec, err := decodeSpec(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid_spec", "decode job spec: %v", err)
 		return
 	}
 	job, err := s.Submit(spec)
@@ -110,6 +118,40 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	obs.ServeJSON(noStatusWriter{w}, s.Status(job))
+}
+
+// decodeSpec decodes a POST /jobs body, refusing unknown fields, and a
+// sweep of more than maxSweepConfigs configurations before it decodes
+// them: encoding/json grows a []ConfigSpec in steps, so a body of empty
+// configs, `[{},{},…]`, turns each three-byte element into a 200-byte
+// ConfigSpec several times over, about 330 bytes per body byte.
+func decodeSpec(body []byte) (JobSpec, error) {
+	var spec JobSpec
+	// The probe's field matches the same keys as JobSpec.Configs; a body
+	// it cannot decode is left to the decoder below.
+	var probe struct{ Configs configCount }
+	_ = json.NewDecoder(bytes.NewReader(body)).Decode(&probe)
+	if probe.Configs > maxSweepConfigs {
+		return spec, fmt.Errorf("more than %d configs", maxSweepConfigs)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+// configCount decodes a JSON array to the largest element count it has
+// been given, keeping no element, so a key that repeats is counted at its
+// longest array.
+type configCount int
+
+func (c *configCount) UnmarshalJSON(b []byte) error {
+	var elems []struct{}
+	// Errors are the decoder's to report; elements that are not objects
+	// still count.
+	_ = json.Unmarshal(b, &elems)
+	*c = max(*c, configCount(len(elems)))
+	return nil
 }
 
 // handleList serves every job's status, submission-ordered. An optional

@@ -211,6 +211,8 @@ func TestHTTPErrors(t *testing.T) {
 			http.StatusBadRequest, "invalid_spec"},
 		{"POST", "/jobs", `{"kind":"attack","design":"sb1","config":{"preset":"DL-MLP","mlp_epochs":1001}}`,
 			http.StatusBadRequest, "invalid_spec"},
+		{"POST", "/jobs", `{"kind":"sweep","configs":[` + strings.Repeat(`{"preset":"ML-9"},`, maxSweepConfigs) + `{}]}`,
+			http.StatusBadRequest, "invalid_spec"}, // one config past the ceiling
 		{"POST", "/jobs", `{"kind":"attack","design":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
 			http.StatusRequestEntityTooLarge, "invalid_spec"}, // body over the 1 MiB bound
 		{"GET", "/jobs/j-999999", "", http.StatusNotFound, "unknown_job"},

@@ -45,6 +45,7 @@ import (
 	"io"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -124,11 +125,23 @@ type Server struct {
 	order  []string
 	nextID int
 
-	// suites holds the one prepared suite of each provenance, generated
-	// once while concurrent jobs wait and then shared by jobs at every
-	// layer.
+	// suites holds the prepared suites of the maxSuites most recently
+	// used provenances, most recent first. Each is generated once while
+	// concurrent jobs wait and then shared by jobs at every layer.
 	suitesMu sync.Mutex
-	suites   map[sweep.Provenance]func() (*sweep.Suite, error)
+	suites   []suiteEntry
+}
+
+// maxSuites bounds the prepared suites a server keeps. Past it the least
+// recently used one is dropped (a job that holds it keeps it) and a later
+// job at its provenance generates it again: at scale 0.5 a suite holds
+// about 33 MB and takes a fraction of a second to generate.
+const maxSuites = 4
+
+// suiteEntry is the prepared suite of one provenance, built on first use.
+type suiteEntry struct {
+	prov sweep.Provenance
+	get  func() (*sweep.Suite, error)
 }
 
 // New builds the server, reloads the state directory when one is
@@ -169,11 +182,10 @@ func New(opts Options) (*Server, error) {
 		opts.CheckpointDir = filepath.Join(opts.StateDir, "checkpoints")
 	}
 	s := &Server{
-		opts:   opts,
-		o:      opts.Obs,
-		store:  opts.Store,
-		jobs:   make(map[string]*Job),
-		suites: make(map[sweep.Provenance]func() (*sweep.Suite, error)),
+		opts:  opts,
+		o:     opts.Obs,
+		store: opts.Store,
+		jobs:  make(map[string]*Job),
 	}
 	if opts.CheckpointDir != "" {
 		ck, err := sweep.Open(opts.CheckpointDir)
@@ -447,14 +459,18 @@ func (s *Server) queueDepth() {
 }
 
 // suite returns the prepared suite a job's spec pins, generating it on
-// first use. Its run context is the server's: the per-job engine worker
-// bound, the obs context, the shared model store and the checkpoint.
+// first use and on the first use after the server dropped it. Its run
+// context is the server's: the per-job engine worker bound, the obs
+// context, the shared model store and the checkpoint.
 func (s *Server) suite(spec JobSpec) (*sweep.Suite, error) {
 	prov := sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed}
 	s.suitesMu.Lock()
-	get, ok := s.suites[prov]
-	if !ok {
-		get = sync.OnceValues(func() (*sweep.Suite, error) {
+	e := suiteEntry{prov: prov}
+	if i := slices.IndexFunc(s.suites, func(x suiteEntry) bool { return x.prov == prov }); i >= 0 {
+		e = s.suites[i]
+		s.suites = slices.Delete(s.suites, i, i+1)
+	} else {
+		e.get = sync.OnceValues(func() (*sweep.Suite, error) {
 			suite, err := sweep.NewSuite(s.o, prov, s.opts.Workers)
 			if err != nil {
 				return nil, err
@@ -463,8 +479,12 @@ func (s *Server) suite(spec JobSpec) (*sweep.Suite, error) {
 			suite.Checkpoint = s.ck
 			return suite, nil
 		})
-		s.suites[prov] = get
+	}
+	s.suites = slices.Insert(s.suites, 0, e)
+	if len(s.suites) > maxSuites {
+		clear(s.suites[maxSuites:])
+		s.suites = s.suites[:maxSuites]
 	}
 	s.suitesMu.Unlock()
-	return get()
+	return e.get()
 }

@@ -273,6 +273,64 @@ func TestServeSuiteSharedAcrossLayers(t *testing.T) {
 	}
 }
 
+// TestServeSuitesBounded submits attack jobs at six seeds: the server
+// keeps the suites of the four most recent. A job at a kept seed
+// generates nothing, and one at a dropped seed generates its suite again
+// and serves the digest it served the first time.
+func TestServeSuitesBounded(t *testing.T) {
+	o := obs.New(obs.Options{Command: "serve-test"})
+	s := newTestServer(t, Options{Obs: o, Pool: 1})
+	const scale = 0.1
+	generated := o.Metrics().Counter("layout.designs.generated")
+	run := func(seed int64) string {
+		t.Helper()
+		spec := attackSpec("sb18")
+		spec.Scale, spec.Seed = scale, &seed
+		spec.Config = &ConfigSpec{Preset: "ML-9", NumTrees: 2}
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, job, 10*time.Minute)
+		res, ok := s.Result(job)
+		if st := s.Status(job); st.State != StateDone || !ok || res.Attack == nil {
+			t.Fatalf("seed-%d job %s state %s, error %q", seed, job.ID, st.State, st.Error)
+		}
+		return res.Attack.EvalDigest
+	}
+	kept := func() int {
+		s.suitesMu.Lock()
+		defer s.suitesMu.Unlock()
+		return len(s.suites)
+	}
+	digests := map[int64]string{}
+	for seed := int64(1); seed <= 6; seed++ {
+		digests[seed] = run(seed)
+		if n := kept(); n > maxSuites {
+			t.Fatalf("after seed %d the server keeps %d suites, want at most %d", seed, n, maxSuites)
+		}
+	}
+	if digests[1] == digests[2] {
+		t.Fatalf("seeds 1 and 2 served the same digest %s", digests[1])
+	}
+	designs := int64(len(suiteDesigns(layout.TierStandard, scale, 1)))
+	if got := generated.Value(); got != 6*designs {
+		t.Fatalf("layout.designs.generated = %d after six seeds, want %d", got, 6*designs)
+	}
+	if run(6) != digests[6] || generated.Value() != 6*designs {
+		t.Errorf("a job at the most recent seed moved its digest or generated designs (%d)", generated.Value())
+	}
+	if run(1) != digests[1] {
+		t.Error("the regenerated suite of seed 1 served another digest")
+	}
+	if got := generated.Value(); got != 7*designs {
+		t.Errorf("layout.designs.generated = %d after revisiting seed 1, want %d: one more suite", got, 7*designs)
+	}
+	if n := kept(); n != maxSuites {
+		t.Errorf("the server keeps %d suites, want %d", n, maxSuites)
+	}
+}
+
 // TestServeCancelRunningFreesSlot cancels a mid-run job on a pool of one
 // and checks the slot frees for the next job immediately.
 func TestServeCancelRunningFreesSlot(t *testing.T) {

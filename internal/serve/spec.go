@@ -55,8 +55,8 @@ type JobSpec struct {
 	Seed *int64 `json:"seed,omitempty"`
 	// Config is the attack configuration (train/attack/proximity).
 	Config *ConfigSpec `json:"config,omitempty"`
-	// Configs are the sweep's configurations; empty selects the paper's
-	// four standard configurations.
+	// Configs are the sweep's configurations, at most maxSweepConfigs;
+	// empty selects the paper's four standard configurations.
 	Configs []ConfigSpec `json:"configs,omitempty"`
 	// Shard and Of partition a sweep job's leave-one-out folds across
 	// cooperating jobs ("shard/of", 1-based): the job computes only the

@@ -185,13 +185,16 @@ func (s *Suite) noisy(layer int, sd float64) ([]*split.Challenge, error) {
 // Instances returns the prepared instances of the (layer, noise) cut, one
 // per design, and whether an earlier call had built them. Instances are
 // immutable, so every run, sweep and figure at the coordinate shares them.
-// Each call is one "suite.instances" lookup.
+// The build is one "pairs.prep" span; each call is one "suite.instances"
+// lookup.
 func (s *Suite) Instances(layer int, noise float64) ([]*attack.Instance, bool, error) {
 	insts, hit, err := s.cut(layer, noise).insts.get(func() ([]*attack.Instance, error) {
 		chs, err := s.Challenges(layer, noise)
 		if err != nil {
 			return nil, err
 		}
+		sp := s.Obs.Begin("pairs.prep", obs.F("layer", layer), obs.F("noise", noise))
+		defer sp.End()
 		return attack.NewInstancesWorkers(chs, s.Workers), nil
 	})
 	s.Obs.Metrics().Cache("suite.instances").Lookup(hit)

@@ -343,8 +343,8 @@ func foldFixture(t *testing.T) (*Suite, []*attack.Instance, attack.Config) {
 // TestSuiteCutsOnce: eight goroutines that ask a fresh suite for the same
 // instances and the same noisy challenges at once share one build of each
 // cut. One call per key is told it built, each key is counted as one miss,
-// and the clean cut under both is made once, one split.challenges per
-// design.
+// the clean cut under both is made once, one split.challenges per design,
+// and the instance build is one pairs.prep span.
 func TestSuiteCutsOnce(t *testing.T) {
 	const n = 8
 	s := fixtureSuite(t)
@@ -396,6 +396,15 @@ func TestSuiteCutsOnce(t *testing.T) {
 	}
 	if got := m.Counter("split.challenges").Value(); got != int64(len(s.Designs)) {
 		t.Errorf("split.challenges = %d, want one clean cut of %d designs", got, len(s.Designs))
+	}
+	preps := 0
+	for _, sp := range s.Obs.BuildReport().Spans {
+		if sp.Name == "pairs.prep" {
+			preps++
+		}
+	}
+	if preps != 1 {
+		t.Errorf("%d pairs.prep spans, want one for the one instance build", preps)
 	}
 	clean, err := s.Challenges(6, 0)
 	if err != nil {
